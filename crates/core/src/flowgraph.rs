@@ -26,10 +26,16 @@
 //! the per-service retry-budget token bucket replenished by successful
 //! completions.
 //!
-//! All containers are `BTreeMap`s / in-order `Vec`s so snapshot
-//! serialization is deterministic and resume is bit-exact.
+//! Roots and hops live in [`IdWindow`]s rather than ordered maps: both
+//! keys are issued monotonically (root ids by the tracker's own counter,
+//! hop keys by the cluster's request-id allocator), so records sit in
+//! id order in a deque and lookups binary-search a window spanning only
+//! the ids still live (gap-free root ids hit a direct probe first), so
+//! every operation is O(1) or a cache-resident binary search. Snapshots iterate both windows in ascending id order
+//! — exactly the order an ordered map would give — so serialization is
+//! deterministic and resume is bit-exact.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use hyscale_cluster::{CompletedRequest, FailedRequest, FailureKind, ServiceId};
 use hyscale_metrics::Summary;
@@ -186,21 +192,110 @@ struct HopRecord {
     disk_megabits: f64,
 }
 
+/// Records keyed by ids issued in increasing order, held in id order.
+///
+/// Inserts append; lookups probe the slot a gap-free id would occupy,
+/// then binary-search; a removal leaves a tombstone, and tombstones are
+/// trimmed off the front, so the window spans only the ids from the
+/// oldest live record on — a span bounded by how long a record can
+/// live (request timeouts, root deadlines). Iteration is in ascending
+/// id order.
+#[derive(Debug, Clone)]
+struct IdWindow<V> {
+    slots: VecDeque<(u64, Option<V>)>,
+    live: usize,
+}
+
+impl<V> IdWindow<V> {
+    fn new() -> Self {
+        IdWindow {
+            slots: VecDeque::new(),
+            live: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.live
+    }
+
+    fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.live = 0;
+    }
+
+    /// Whether `id` exceeds every id inserted so far.
+    fn follows(&self, id: u64) -> bool {
+        self.slots.back().is_none_or(|&(last, _)| last < id)
+    }
+
+    /// Appends `value` under `id`, which must exceed every id inserted
+    /// before it.
+    fn insert(&mut self, id: u64, value: V) {
+        debug_assert!(self.follows(id), "id {id} issued out of order");
+        self.slots.push_back((id, Some(value)));
+        self.live += 1;
+    }
+
+    /// Gap-free ids (root ids) sit exactly `id - front` slots in, so
+    /// that slot is probed before the binary search.
+    fn position(&self, id: u64) -> Option<usize> {
+        let front = self.slots.front()?.0;
+        let dense = usize::try_from(id.checked_sub(front)?).ok()?;
+        if self.slots.get(dense).is_some_and(|&(k, _)| k == id) {
+            return Some(dense);
+        }
+        self.slots.binary_search_by_key(&id, |&(k, _)| k).ok()
+    }
+
+    fn get(&self, id: u64) -> Option<&V> {
+        self.slots[self.position(id)?].1.as_ref()
+    }
+
+    fn get_mut(&mut self, id: u64) -> Option<&mut V> {
+        let at = self.position(id)?;
+        self.slots[at].1.as_mut()
+    }
+
+    fn remove(&mut self, id: u64) -> Option<V> {
+        let at = self.position(id)?;
+        let value = self.slots[at].1.take()?;
+        self.live -= 1;
+        while self.slots.front().is_some_and(|(_, v)| v.is_none()) {
+            self.slots.pop_front();
+        }
+        Some(value)
+    }
+
+    /// Live records in ascending id order.
+    fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
+        self.slots
+            .iter()
+            .filter_map(|(id, v)| v.as_ref().map(|v| (*id, v)))
+    }
+}
+
 /// Driver-side runtime state for a graph scenario.
 #[derive(Debug, Clone)]
 pub(crate) struct GraphTracker {
     graph: ServiceGraph,
-    /// ServiceId index → position in the scenario's service list.
-    id_to_idx: BTreeMap<u32, usize>,
     /// Service-list position → numeric ServiceId (for trace events).
     service_ids: Vec<u32>,
     /// Service-list position → slot in `entry_stats` (None for
     /// non-entry services).
     entry_slot: Vec<Option<usize>>,
     next_root: u64,
-    roots: BTreeMap<u64, RootRecord>,
-    hops: BTreeMap<u64, HopRecord>,
+    roots: IdWindow<RootRecord>,
+    /// In-flight hops keyed by aggregate request id base.
+    hops: IdWindow<HopRecord>,
     pending: Vec<PendingHop>,
+    /// The buffer [`GraphTracker::take_due`] fills and
+    /// [`GraphTracker::return_pending_scratch`] takes back, so admission
+    /// passes allocate nothing once warm.
+    due: Vec<PendingHop>,
     entry_stats: Vec<EntryPointStats>,
     /// Resilience knobs (disabled = the legacy all-or-nothing model).
     resilience: ResilienceConfig,
@@ -222,11 +317,6 @@ impl GraphTracker {
         services: &[ServiceSpec],
         resilience: ResilienceConfig,
     ) -> Self {
-        let id_to_idx = services
-            .iter()
-            .enumerate()
-            .map(|(idx, s)| (s.id.index(), idx))
-            .collect();
         let service_ids = services.iter().map(|s| s.id.index()).collect();
         let mut entry_slot = vec![None; services.len()];
         let mut entry_stats = Vec::new();
@@ -246,13 +336,13 @@ impl GraphTracker {
         };
         GraphTracker {
             graph,
-            id_to_idx,
             service_ids,
             entry_slot,
             next_root: 0,
-            roots: BTreeMap::new(),
-            hops: BTreeMap::new(),
+            roots: IdWindow::new(),
+            hops: IdWindow::new(),
             pending: Vec::new(),
+            due: Vec::new(),
             entry_stats,
             resilience,
             policies,
@@ -348,7 +438,7 @@ impl GraphTracker {
         arrival: SimTime,
         service_timeout: SimDuration,
     ) -> SimDuration {
-        let Some(record) = self.roots.get(&root) else {
+        let Some(record) = self.roots.get(root) else {
             return service_timeout;
         };
         if record.deadline == SimTime::MAX {
@@ -361,7 +451,7 @@ impl GraphTracker {
     /// copying the hop descriptor's demands so a lost batch can retry.
     pub fn register_hop(&mut self, root: u64, id_base: u64, hop: &PendingHop) {
         debug_assert_eq!(hop.root, root, "hop descriptor for a different root");
-        let record = self.roots.get_mut(&root).expect("hop for unknown root");
+        let record = self.roots.get_mut(root).expect("hop for unknown root");
         record.pending += 1;
         self.hops.insert(
             id_base,
@@ -382,7 +472,7 @@ impl GraphTracker {
     /// Marks the root failed (lost members at admission or in flight).
     /// The root still waits for its surviving hops before resolving.
     pub fn fail_root(&mut self, root: u64) {
-        if let Some(record) = self.roots.get_mut(&root) {
+        if let Some(record) = self.roots.get_mut(root) {
             record.failed = true;
         }
     }
@@ -391,7 +481,7 @@ impl GraphTracker {
     /// (entry arrivals that were fully rejected never get a completion
     /// sweep to resolve them).
     pub fn seal_root(&mut self, root: u64) {
-        if self.roots.get(&root).is_some_and(|r| r.pending == 0) {
+        if self.roots.get(root).is_some_and(|r| r.pending == 0) {
             self.resolve(root);
         }
     }
@@ -404,7 +494,7 @@ impl GraphTracker {
     pub fn settle_queued(&mut self, root: u64) {
         let record = self
             .roots
-            .get_mut(&root)
+            .get_mut(root)
             .expect("queued hop for unknown root");
         record.pending -= 1;
         if record.pending == 0 {
@@ -430,7 +520,7 @@ impl GraphTracker {
             ..*hop
         };
         if self.try_retry(template, FailureKind::QueueAbort, now, rng, trace, traced) {
-            if let Some(record) = self.roots.get_mut(&hop.root) {
+            if let Some(record) = self.roots.get_mut(hop.root) {
                 record.pending += 1;
             }
         } else {
@@ -450,10 +540,10 @@ impl GraphTracker {
         trace: &mut TraceSink,
         traced: bool,
     ) {
-        let Some(hop) = self.hops.remove(&done.id.index()) else {
+        let Some(hop) = self.hops.remove(done.id.index()) else {
             return;
         };
-        let record = self.roots.get_mut(&hop.root).expect("hop without root");
+        let record = self.roots.get_mut(hop.root).expect("hop without root");
         if traced {
             trace.emit(
                 done.finished,
@@ -471,7 +561,9 @@ impl GraphTracker {
         if done.finished > record.last_finish {
             record.last_finish = done.finished;
         }
-        let parent_idx = self.id_to_idx[&done.service.index()];
+        // The hop record already carries its service's list position.
+        let parent_idx = hop.service;
+        debug_assert_eq!(self.service_ids[parent_idx], done.service.index());
         if self.resilience.enabled {
             record.work_members += done.count;
             if self.resilience.has_retry_budget() {
@@ -503,7 +595,6 @@ impl GraphTracker {
             });
             spawned += 1;
         }
-        let record = self.roots.get_mut(&hop.root).expect("hop without root");
         record.pending += spawned;
         record.pending -= 1;
         if record.pending == 0 {
@@ -523,7 +614,7 @@ impl GraphTracker {
         trace: &mut TraceSink,
         traced: bool,
     ) {
-        let Some(hop) = self.hops.remove(&failure.id.index()) else {
+        let Some(hop) = self.hops.remove(failure.id.index()) else {
             return;
         };
         let template = PendingHop {
@@ -551,7 +642,7 @@ impl GraphTracker {
             // the queued retry took its place.
             return;
         }
-        let record = self.roots.get_mut(&hop.root).expect("hop without root");
+        let record = self.roots.get_mut(hop.root).expect("hop without root");
         record.failed = true;
         record.pending -= 1;
         if record.pending == 0 {
@@ -581,7 +672,7 @@ impl GraphTracker {
         if !policy.retries(kind) || hop.attempt + 1 >= policy.max_attempts {
             return false;
         }
-        let Some(record) = self.roots.get(&hop.root) else {
+        let Some(record) = self.roots.get(hop.root) else {
             return false;
         };
         let service_id = self.service_ids[hop.service];
@@ -649,24 +740,30 @@ impl GraphTracker {
     /// (in spawn order, which is deterministic). With the resilience
     /// layer disabled every queued hop is due (legacy behaviour); with
     /// it enabled, hops whose arrival — a retry's backoff expiry — lies
-    /// beyond `now` stay queued for a later tick, in order.
+    /// beyond `now` stay queued for a later tick, in order. The returned
+    /// vector is the tracker's reused due buffer; hand it back through
+    /// [`GraphTracker::return_pending_scratch`].
     pub fn take_due(&mut self, now: SimTime) -> Vec<PendingHop> {
-        if !self.resilience.enabled {
-            return std::mem::take(&mut self.pending);
+        let mut due = std::mem::take(&mut self.due);
+        if self.resilience.enabled {
+            self.pending.retain(|h| {
+                let ready = h.arrival <= now;
+                if ready {
+                    due.push(*h);
+                }
+                !ready
+            });
+        } else {
+            std::mem::swap(&mut due, &mut self.pending);
         }
-        let (due, later): (Vec<PendingHop>, Vec<PendingHop>) = std::mem::take(&mut self.pending)
-            .into_iter()
-            .partition(|h| h.arrival <= now);
-        self.pending = later;
         due
     }
 
-    /// Returns the drained scratch vector for reuse next tick.
+    /// Takes back the buffer [`GraphTracker::take_due`] handed out,
+    /// emptied, for reuse next tick.
     pub fn return_pending_scratch(&mut self, mut scratch: Vec<PendingHop>) {
-        if self.pending.is_empty() {
-            scratch.clear();
-            self.pending = scratch;
-        }
+        scratch.clear();
+        self.due = scratch;
     }
 
     /// Whether any child hops await admission.
@@ -682,7 +779,7 @@ impl GraphTracker {
     }
 
     fn resolve(&mut self, root: u64) {
-        let record = self.roots.remove(&root).expect("resolving unknown root");
+        let record = self.roots.remove(root).expect("resolving unknown root");
         if record.failed {
             self.stats.wasted_members += record.work_members;
         } else {
@@ -719,7 +816,7 @@ impl GraphTracker {
     pub fn snapshot_write(&self, w: &mut SnapWriter) {
         w.put_u64(self.next_root);
         w.put_usize(self.roots.len());
-        for (&id, r) in &self.roots {
+        for (id, r) in self.roots.iter() {
             w.put_u64(id);
             w.put_usize(r.entry);
             w.put_u64(r.arrival.as_micros());
@@ -731,7 +828,7 @@ impl GraphTracker {
             w.put_u64(r.work_members);
         }
         w.put_usize(self.hops.len());
-        for (&id_base, h) in &self.hops {
+        for (id_base, h) in self.hops.iter() {
             w.put_u64(id_base);
             w.put_u64(h.root);
             w.put_u32(h.depth);
@@ -800,6 +897,11 @@ impl GraphTracker {
         for _ in 0..r.get_usize()? {
             let id = r.get_u64()?;
             let entry = r.get_usize()?;
+            if !self.roots.follows(id) {
+                return Err(SnapshotError::Corrupt(format!(
+                    "root {id} is out of ascending id order"
+                )));
+            }
             if entry >= self.entry_stats.len() {
                 return Err(SnapshotError::Corrupt(format!(
                     "root {id} references entry slot {entry} of {}",
@@ -828,6 +930,11 @@ impl GraphTracker {
             let service = r.get_usize()?;
             let attempt = r.get_u32()?;
             let policy = r.get_u32()?;
+            if !self.hops.follows(id_base) {
+                return Err(SnapshotError::Corrupt(format!(
+                    "hop {id_base} is out of ascending id order"
+                )));
+            }
             if service >= self.entry_slot.len() || policy as usize >= self.policies.len() {
                 return Err(SnapshotError::Corrupt(format!(
                     "hop {id_base} references service {service} / policy {policy} \
@@ -1446,5 +1553,168 @@ mod tests {
         let due = restored.take_due(SimTime::from_secs(10.0));
         assert_eq!(due.len(), 1);
         assert_eq!(due[0].attempt, 1);
+    }
+
+    /// Reads the root and hop ids out of a `snapshot_write` payload, in
+    /// the order they were serialized.
+    fn serialized_ids(bytes: &[u8]) -> (Vec<u64>, Vec<u64>) {
+        let mut r = SnapReader::open(bytes).unwrap();
+        r.get_u64().unwrap(); // next_root
+        let mut roots = Vec::new();
+        for _ in 0..r.get_usize().unwrap() {
+            roots.push(r.get_u64().unwrap());
+            r.get_usize().unwrap();
+            r.get_u64().unwrap();
+            r.get_u64().unwrap();
+            r.get_u32().unwrap();
+            r.get_u8().unwrap();
+            for _ in 0..3 {
+                r.get_u64().unwrap();
+            }
+        }
+        let mut hops = Vec::new();
+        for _ in 0..r.get_usize().unwrap() {
+            hops.push(r.get_u64().unwrap());
+            r.get_u64().unwrap();
+            r.get_u32().unwrap();
+            r.get_usize().unwrap();
+            r.get_u32().unwrap();
+            r.get_u32().unwrap();
+            for _ in 0..4 {
+                r.get_f64().unwrap();
+            }
+        }
+        (roots, hops)
+    }
+
+    /// Resolving roots and completing hops middle-first leaves
+    /// tombstones between live entries: survivors must still look up,
+    /// the tracker must stay busy until the last of them goes, and a
+    /// snapshot must skip the tombstones and list ids in ascending order.
+    #[test]
+    fn out_of_order_resolution_keeps_windows_consistent() {
+        let specs = services(1);
+        let mut t = tracker(ServiceGraph::new(1), &specs);
+        let mut sink = TraceSink::disabled();
+        for i in 0..5u64 {
+            let root = t.begin_root(0, SimTime::ZERO, 1);
+            assert_eq!(root, i);
+            t.register_hop(root, 10 * (i + 1), &entry_hop(root, 0));
+            t.seal_root(root);
+        }
+        // Middle first: roots 2 and 1 (hops 30 and 20) resolve.
+        t.on_completed(&completed(30, 0, 1, 1.0), &specs, &mut sink, false);
+        t.on_completed(&completed(20, 0, 1, 1.5), &specs, &mut sink, false);
+        assert_eq!(t.roots.slots.len(), 5, "middle removals leave tombstones");
+        for live in [0, 3, 4] {
+            assert!(t.roots.get(live).is_some(), "root {live} lost");
+        }
+        for gone in [1, 2] {
+            assert!(t.roots.get(gone).is_none(), "root {gone} survived");
+        }
+        for live in [10, 40, 50] {
+            assert!(t.hops.get(live).is_some(), "hop {live} lost");
+        }
+        assert!(t.hops.get(20).is_none() && t.hops.get(25).is_none());
+        assert_eq!((t.roots.len(), t.hops.len()), (3, 3));
+
+        let mut w = SnapWriter::new();
+        t.snapshot_write(&mut w);
+        let first = w.finish();
+        assert_eq!(serialized_ids(&first), (vec![0, 3, 4], vec![10, 40, 50]));
+        let mut restored = tracker(ServiceGraph::new(1), &specs);
+        let mut r = SnapReader::open(&first).unwrap();
+        restored.snapshot_restore(&mut r).unwrap();
+        r.expect_done().unwrap();
+        assert_eq!(restored.roots.slots.len(), 3, "restore drops tombstones");
+        let mut w2 = SnapWriter::new();
+        restored.snapshot_write(&mut w2);
+        assert_eq!(first, w2.finish(), "restore must be bit-exact");
+
+        // The front goes next (its tombstone run trims), then the back;
+        // only the last completion leaves the tracker idle.
+        t.on_completed(&completed(10, 0, 1, 2.0), &specs, &mut sink, false);
+        assert_eq!(t.roots.slots.len(), 2, "front tombstones trim");
+        assert!(t.roots.get(0).is_none() && t.hops.get(10).is_none());
+        assert!(!t.is_idle());
+        t.on_completed(&completed(50, 0, 1, 2.5), &specs, &mut sink, false);
+        assert!(!t.is_idle());
+        assert!(t.roots.get(3).is_some() && t.hops.get(40).is_some());
+        t.on_completed(&completed(40, 0, 1, 3.0), &specs, &mut sink, false);
+        assert!(t.is_idle());
+        assert!(t.roots.slots.is_empty() && t.hops.slots.is_empty());
+        assert_eq!(t.entry_stats()[0].roots_completed, 5);
+    }
+
+    #[test]
+    fn restore_rejects_ids_out_of_ascending_order() {
+        let specs = services(1);
+        let mut t = tracker(ServiceGraph::new(1), &specs);
+        let mut bytes = SnapWriter::new();
+        bytes.put_u64(2); // next_root
+        bytes.put_usize(2);
+        for id in [1u64, 0] {
+            bytes.put_u64(id);
+            bytes.put_usize(0);
+            bytes.put_u64(0);
+            bytes.put_u64(1);
+            bytes.put_u32(1);
+            bytes.put_u8(0);
+            for _ in 0..3 {
+                bytes.put_u64(0);
+            }
+        }
+        let bytes = bytes.finish();
+        let mut r = SnapReader::open(&bytes).unwrap();
+        assert!(matches!(
+            t.snapshot_restore(&mut r),
+            Err(SnapshotError::Corrupt(_))
+        ));
+    }
+
+    fn queued(root: u64, arrival_secs: f64) -> PendingHop {
+        PendingHop {
+            arrival: SimTime::from_secs(arrival_secs),
+            ..entry_hop(root, 0)
+        }
+    }
+
+    /// Regression: with retries waiting in backoff, `take_due` hands out
+    /// due hops in spawn order, keeps deferred ones queued in order, and
+    /// reuses its two buffers instead of building fresh ones every tick.
+    #[test]
+    fn take_due_keeps_order_and_reuses_buffers() {
+        let specs = services(1);
+        let resilience =
+            ResilienceConfig::with_policy(RetryPolicy::standard().with_backoff(1.0, 8.0, 0.0));
+        let mut t = GraphTracker::new(ServiceGraph::new(1), &specs, resilience);
+        let mut caps = None;
+        for tick in 0..40u64 {
+            let now = tick as f64;
+            // Four hops spawn due now and four wait one tick in backoff,
+            // interleaved; root ids label spawn order.
+            for k in 0..8u64 {
+                let at = if k % 2 == 0 { now } else { now + 1.0 };
+                t.pending.push(queued(100 * tick + k, at));
+            }
+            let due = t.take_due(SimTime::from_secs(now));
+            let roots: Vec<u64> = due.iter().map(|h| h.root).collect();
+            let mut expected: Vec<u64> = Vec::new();
+            if tick > 0 {
+                expected.extend([1, 3, 5, 7].map(|k| 100 * (tick - 1) + k));
+            }
+            expected.extend([0, 2, 4, 6].map(|k| 100 * tick + k));
+            assert_eq!(roots, expected, "tick {tick}: due hops out of spawn order");
+            let deferred: Vec<u64> = t.pending.iter().map(|h| h.root).collect();
+            assert_eq!(deferred, [1, 3, 5, 7].map(|k| 100 * tick + k));
+            t.return_pending_scratch(due);
+            let now_caps = (t.pending.capacity(), t.due.capacity());
+            if tick == 2 {
+                caps = Some(now_caps);
+            } else if tick > 2 {
+                assert_eq!(Some(now_caps), caps, "tick {tick} reallocated a buffer");
+            }
+        }
+        assert!(caps.is_some_and(|(p, d)| p >= 8 && d >= 8));
     }
 }

@@ -1,44 +1,22 @@
 //! Lifecycle and partitioning regression tests for the persistent
 //! tick-worker pool: a panicking worker propagates instead of
 //! deadlocking, `set_parallelism` resizes pool and scratch mid-run
-//! without changing a bit of output, dropping a `Cluster` joins every
-//! worker (no thread leak across repeated construction), and heavily
-//! skewed container placement — the case container-weighted partitioning
-//! exists for — stays byte-identical serial vs parallel and across
-//! repeated runs.
+//! without changing a bit of output, and heavily skewed container
+//! placement — the case container-weighted partitioning exists for —
+//! stays byte-identical serial vs parallel and across repeated runs.
+//! The thread-leak tests live in `worker_pool_threads.rs`: they read the
+//! process-wide thread count, which the tests here disturb.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use hyscale::cluster::{
-    Cluster, ClusterConfig, ContainerId, ContainerSpec, Cores, MemMb, NodeId, NodeSpec, Request,
-    ServiceId, TickReport,
+    Cluster, ClusterConfig, ContainerId, ContainerSpec, Cores, MemMb, NodeId, NodeSpec, ServiceId,
+    TickReport,
 };
 use hyscale::sim::{SimDuration, SimRng, SimTime};
 
-const DT_MS: u64 = 100;
-
-/// A small busy cluster: every node hosts replicas, every replica gets
-/// seeded traffic each tick.
-fn build_uniform(parallelism: usize, nodes: usize) -> (Cluster, Vec<ContainerId>) {
-    let mut cluster = Cluster::new(ClusterConfig::default());
-    cluster.set_parallelism(parallelism);
-    let mut containers = Vec::new();
-    for n in 0..nodes {
-        let node = cluster.add_node(NodeSpec::uniform_worker());
-        for c in 0..2 {
-            let service = ServiceId::new(((n * 2 + c) % 4) as u32);
-            let spec = ContainerSpec::new(service)
-                .with_cpu_request(Cores(1.0))
-                .with_mem_limit(MemMb(256.0))
-                .with_startup_secs(0.0);
-            let id = cluster
-                .start_container(node, spec, SimTime::ZERO)
-                .expect("node exists");
-            containers.push(id);
-        }
-    }
-    (cluster, containers)
-}
+mod common;
+use common::{build_uniform, tick_traffic, DT_MS};
 
 /// One node carrying ~10x the containers of every other node: the
 /// skew that index-chunked partitioning handles badly.
@@ -71,34 +49,6 @@ fn build_skewed(parallelism: usize) -> (Cluster, Vec<ContainerId>) {
         );
     }
     (cluster, containers)
-}
-
-fn tick_traffic(cluster: &mut Cluster, containers: &[ContainerId], rng: &mut SimRng, now: SimTime) {
-    for &id in containers {
-        if rng.uniform_f64() < 0.7 {
-            let service = cluster.container(id).expect("exists").spec().service;
-            let request = Request::new(
-                service,
-                now,
-                rng.uniform_range(0.01, 0.12),
-                MemMb(4.0),
-                rng.uniform_range(0.0, 1.0),
-            );
-            let _ = cluster.admit_request(id, request, now);
-        }
-    }
-}
-
-/// Number of OS threads in this process, from /proc (Linux CI and dev
-/// boxes; the leak test is skipped elsewhere).
-#[cfg(target_os = "linux")]
-fn process_thread_count() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
-        .expect("Threads: line present")
 }
 
 #[test]
@@ -187,57 +137,6 @@ fn reconfiguring_parallelism_mid_run_is_bit_identical() {
         assert_eq!(s, p, "tick {tick} diverged after a resize");
     }
     assert_eq!(serial_usage, resized_usage, "final usage diverged");
-}
-
-#[test]
-fn repeated_reconfiguration_does_not_accumulate_threads() {
-    let (mut cluster, containers) = build_uniform(4, 6);
-    let mut rng = SimRng::seed_from(0x7EAD);
-    let dt = SimDuration::from_millis(DT_MS);
-    let mut now = SimTime::ZERO;
-    // Churn the pool size; each resize joins the old pool first.
-    for round in 0..20 {
-        cluster.set_parallelism(1 + (round % 5));
-        tick_traffic(&mut cluster, &containers, &mut rng, now);
-        cluster.advance(now, dt);
-        now += dt;
-    }
-    #[cfg(target_os = "linux")]
-    {
-        cluster.set_parallelism(3);
-        cluster.advance(now, dt);
-        let with_pool = process_thread_count();
-        cluster.set_parallelism(1);
-        let serial_again = process_thread_count();
-        assert_eq!(
-            serial_again,
-            with_pool - 2,
-            "shrinking to serial joins the pool's 2 threads"
-        );
-    }
-}
-
-#[test]
-#[cfg(target_os = "linux")]
-fn dropping_clusters_joins_all_workers() {
-    // Warm up allocators/runtime threads, then measure the baseline.
-    {
-        let (mut cluster, _) = build_uniform(4, 6);
-        cluster.advance(SimTime::ZERO, SimDuration::from_millis(DT_MS));
-    }
-    let baseline = process_thread_count();
-    for _ in 0..25 {
-        let (mut cluster, containers) = build_uniform(4, 6);
-        let mut rng = SimRng::seed_from(0xD20B);
-        tick_traffic(&mut cluster, &containers, &mut rng, SimTime::ZERO);
-        cluster.advance(SimTime::ZERO, SimDuration::from_millis(DT_MS));
-        drop(cluster);
-    }
-    let after = process_thread_count();
-    assert_eq!(
-        baseline, after,
-        "thread count grew across 25 construct/drop cycles"
-    );
 }
 
 #[test]
