@@ -723,6 +723,15 @@ impl Cluster {
             .collect()
     }
 
+    /// Number of live (not removed) replicas of a service: the length of
+    /// [`Cluster::service_replicas`], read from the incrementally
+    /// maintained per-service count in O(1).
+    pub fn replica_count(&self, service: ServiceId) -> usize {
+        self.replica_counts
+            .get(service.as_usize())
+            .map_or(0, |&n| n as usize)
+    }
+
     /// Least-loaded accepting replica of `service` via the incremental
     /// routing index: first accepting entry in `(in_flight, id)` order,
     /// which equals the minimum over accepting replicas of
@@ -1462,11 +1471,8 @@ impl Cluster {
         }
         // Fold nodes activated since the last tick into the sorted list.
         if !self.newly_active.is_empty() {
-            let newly = std::mem::take(&mut self.newly_active);
-            self.active_list.extend_from_slice(&newly);
-            self.active_list.sort_unstable();
-            self.active_list.dedup();
-            self.newly_active = newly;
+            self.newly_active.sort_unstable();
+            merge_sorted(&mut self.active_list, &self.newly_active);
             self.newly_active.clear();
         }
 
@@ -1790,6 +1796,30 @@ impl Cluster {
         }
         Ok(c)
     }
+}
+
+/// Merges the sorted node indices `woken` into the sorted `list` in
+/// place, filling from the back so each entry moves at most once. The
+/// two are disjoint: a node enters `woken` only while it is inactive.
+fn merge_sorted(list: &mut Vec<u32>, woken: &[u32]) {
+    let mut i = list.len();
+    let mut j = woken.len();
+    list.resize(i + j, 0);
+    let mut k = list.len();
+    while j > 0 {
+        k -= 1;
+        if i > 0 && list[i - 1] > woken[j - 1] {
+            i -= 1;
+            list[k] = list[i];
+        } else {
+            j -= 1;
+            list[k] = woken[j];
+        }
+    }
+    debug_assert!(
+        list.windows(2).all(|w| w[0] < w[1]),
+        "woken node already active"
+    );
 }
 
 /// Closed-form water-filling for the all-idle case, where every demand is
@@ -2745,6 +2775,83 @@ mod tests {
             .start_container(node, ready_spec(0).antagonist(), SimTime::ZERO)
             .unwrap();
         assert_eq!(cl.service_replicas(ServiceId::new(0)), vec![a]);
+    }
+
+    #[test]
+    fn replica_count_tracks_service_replicas_through_lifecycle() {
+        let mut cl = cluster();
+        let a = cl.add_node(NodeSpec::uniform_worker());
+        let b = cl.add_node(NodeSpec::uniform_worker());
+        let c = cl.add_node(NodeSpec::uniform_worker());
+        let svc = ServiceId::new(0);
+        let check = |cl: &Cluster, when: &str| {
+            for s in [svc, ServiceId::new(1), ServiceId::new(7)] {
+                assert_eq!(
+                    cl.replica_count(s),
+                    cl.service_replicas(s).len(),
+                    "{when}: service {s:?}"
+                );
+            }
+        };
+        check(&cl, "empty");
+        let now = SimTime::ZERO;
+        let r0 = cl.start_container(a, ready_spec(0), now).unwrap();
+        let r1 = cl.start_container(a, ready_spec(0), now).unwrap();
+        cl.start_container(b, ready_spec(0), now).unwrap();
+        cl.start_container(b, ready_spec(1), now).unwrap();
+        cl.start_container(c, ready_spec(0), now).unwrap();
+        cl.start_container(c, ready_spec(0).antagonist(), now)
+            .unwrap();
+        check(&cl, "start");
+        assert_eq!(cl.replica_count(svc), 4);
+        cl.remove_container(r0, now).unwrap();
+        check(&cl, "remove");
+        cl.oom_kill(r1, now).unwrap();
+        check(&cl, "oom kill");
+        cl.crash_node(b, now).unwrap();
+        check(&cl, "crash");
+        cl.reboot_node(b).unwrap();
+        check(&cl, "reboot");
+        cl.start_container(b, ready_spec(1), now).unwrap();
+        check(&cl, "restart after reboot");
+        cl.decommission_node(c, now).unwrap();
+        check(&cl, "decommission");
+        assert_eq!(cl.replica_count(svc), 0);
+        assert_eq!(cl.replica_count(ServiceId::new(1)), 1);
+    }
+
+    #[test]
+    fn merge_sorted_interleaves_woken_nodes() {
+        let mut list = vec![1, 4, 5, 9, 12];
+        merge_sorted(&mut list, &[0, 2, 3, 7, 13, 20]);
+        assert_eq!(list, vec![0, 1, 2, 3, 4, 5, 7, 9, 12, 13, 20]);
+        let mut empty = Vec::new();
+        merge_sorted(&mut empty, &[3, 6]);
+        assert_eq!(empty, vec![3, 6]);
+        let mut untouched = vec![2, 8];
+        merge_sorted(&mut untouched, &[]);
+        assert_eq!(untouched, vec![2, 8]);
+    }
+
+    #[test]
+    fn woken_nodes_merge_into_the_active_list_in_node_order() {
+        let mut cl = cluster();
+        let nodes: Vec<NodeId> = (0..8)
+            .map(|_| cl.add_node(NodeSpec::uniform_worker()))
+            .collect();
+        // A starting container (1 s start-up) keeps its node active.
+        let starting = ContainerSpec::new(ServiceId::new(0));
+        cl.start_container(nodes[3], starting.clone(), SimTime::ZERO)
+            .unwrap();
+        let dt = SimDuration::from_millis(100);
+        cl.advance(SimTime::ZERO, dt);
+        assert_eq!(cl.active_list, vec![3], "idle nodes park");
+        let now = SimTime::ZERO + dt;
+        for i in [6, 0, 5, 1, 7] {
+            cl.start_container(nodes[i], starting.clone(), now).unwrap();
+        }
+        cl.advance(now, dt);
+        assert_eq!(cl.active_list, vec![0, 1, 3, 5, 6, 7]);
     }
 
     #[test]

@@ -1835,17 +1835,18 @@ fn restore_rngs(r: &mut SnapReader<'_>, rngs: &mut [SimRng]) -> Result<(), Snaps
 
 /// Writes request outcomes including every response-time sample, so the
 /// restored Welford accumulator is bit-exact (it is replay-order
-/// deterministic).
-fn write_outcomes(w: &mut SnapWriter, o: &RequestOutcomes) {
+/// deterministic). Runs are written expanded, one sample at a time, so
+/// the frame does not depend on how the summary stores them.
+#[doc(hidden)]
+pub fn write_outcomes(w: &mut SnapWriter, o: &RequestOutcomes) {
     w.put_u64(o.issued);
     w.put_u64(o.completed);
     w.put_u64(o.failures.removal);
     w.put_u64(o.failures.timeout);
     w.put_u64(o.failures.queue_abort);
     w.put_u64(o.failures.infra_death);
-    let samples = o.response_times.samples();
-    w.put_usize(samples.len());
-    for &v in samples {
+    w.put_usize(o.response_times.count());
+    for v in o.response_times.samples() {
         w.put_f64(v);
     }
     w.put_u64(o.response_times.nan_dropped());

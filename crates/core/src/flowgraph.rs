@@ -793,9 +793,7 @@ impl GraphTracker {
             stats.roots_completed += 1;
             stats.members_completed += record.members;
             let secs = (record.last_finish - record.arrival).as_secs();
-            for _ in 0..record.members {
-                stats.e2e_secs.record(secs);
-            }
+            stats.e2e_secs.record_n(secs, record.members);
         }
     }
 
@@ -862,9 +860,8 @@ impl GraphTracker {
             w.put_u64(s.roots_failed);
             w.put_u64(s.members_completed);
             w.put_u64(s.members_failed);
-            let samples = s.e2e_secs.samples();
-            w.put_usize(samples.len());
-            for &v in samples {
+            w.put_usize(s.e2e_secs.count());
+            for v in s.e2e_secs.samples() {
                 w.put_f64(v);
             }
             w.put_u64(s.e2e_secs.nan_dropped());

@@ -74,6 +74,8 @@ pub use balancer::{BreakerConfig, LoadBalancer};
 pub use controlplane::{
     ActuationOutcome, ControlPlane, ControlPlaneConfig, ControlPlaneStats, NEVER_REPORTED,
 };
+#[doc(hidden)]
+pub use driver::write_outcomes;
 pub use driver::{
     NodeEvent, RunReport, ScalingCounts, ScenarioBuilder, ScenarioConfig, SimulationDriver,
     SnapshotPolicy,

@@ -138,7 +138,7 @@ impl RecoveryManager {
 
         for service in services {
             let template = &templates[&service];
-            let have = cluster.service_replicas(service).len();
+            let have = cluster.replica_count(service);
             let deficit = self.config.min_replicas.saturating_sub(have);
             if deficit == 0 {
                 // Healthy: forget any backoff so the next incident starts

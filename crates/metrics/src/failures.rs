@@ -114,14 +114,12 @@ impl RequestOutcomes {
     }
 
     /// Records `n` completions sharing one response time — a cohort whose
-    /// members finished together. O(n): the summary retains every sample
-    /// so the distribution stays exact; cohort counts at the driver level
-    /// are per-tick batches, not the million-member bench cohorts.
+    /// members finished together. The summary stores them as one run
+    /// (see [`Summary::record_n`]), so the distribution stays exact while
+    /// memory follows settled records, not members.
     pub fn record_completed_n(&mut self, response_secs: f64, n: u64) {
         self.completed += n;
-        for _ in 0..n {
-            self.response_times.record(response_secs);
-        }
+        self.response_times.record_n(response_secs, n);
     }
 
     /// Records `n` removal failures at once.

@@ -749,3 +749,38 @@ fn missing_snapshot_file_is_an_io_error() {
     );
     let _ = fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn outcome_frames_expand_runs_to_the_per_sample_bytes() {
+    use hyscale::core::write_outcomes;
+    use hyscale::metrics::RequestOutcomes;
+
+    let batches = [
+        (0.5, 1),
+        (0.5, 2),
+        (0.25, 40),
+        (1.75, 3),
+        (0.25, 1),
+        (-0.0, 5),
+    ];
+    let mut batched = RequestOutcomes::new();
+    let mut single = RequestOutcomes::new();
+    for &(secs, n) in &batches {
+        batched.record_issued_n(n);
+        batched.record_completed_n(secs, n);
+        for _ in 0..n {
+            single.record_issued();
+            single.record_completed(secs);
+        }
+    }
+    batched.response_times.record(f64::NAN);
+    single.response_times.record(f64::NAN);
+    assert!(batched.response_times.stored_entries() < batched.response_times.count());
+
+    let frame = |o: &RequestOutcomes| {
+        let mut w = SnapWriter::new();
+        write_outcomes(&mut w, o);
+        w.finish()
+    };
+    assert_eq!(frame(&batched), frame(&single));
+}
