@@ -5,36 +5,27 @@
 //! driver owns the event loop: client arrivals (per-service
 //! non-homogeneous Poisson processes), the fixed 100 ms resource tick,
 //! and the Monitor's scaling period (5 s, matching the paper's
-//! experiments). The paper's protocol of averaging each experiment over
-//! five runs is [`SimulationDriver::run_averaged`] over five seeds.
+//! experiments). The loop itself is an owned `Run` (module `run`) that
+//! steps through named phases each tick. The paper's protocol of
+//! averaging each experiment over five runs is
+//! [`SimulationDriver::run_averaged`] over five seeds.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use hyscale_cluster::{
-    Cluster, ClusterConfig, Cohort, ContainerId, ContainerSpec, FailureKind, FaultInjector,
-    FaultLog, FaultPlan, MemMb, NodeId, NodeSpec, Request, ServiceId, TickReport,
-};
-use hyscale_metrics::{
-    AvailabilityTracker, CostMeter, MetricsRegistry, RequestOutcomes, ServiceAvailability,
-    TimeSeries,
-};
-use hyscale_sim::{
-    fnv1a, EventQueue, SimDuration, SimRng, SimTime, SnapReader, SnapWriter, SnapshotError,
-    TickEngine, TickOutcome,
-};
+use hyscale_cluster::{ClusterConfig, ContainerSpec, FaultLog, FaultPlan, NodeSpec, ServiceId};
+use hyscale_metrics::{CostMeter, RequestOutcomes, ServiceAvailability, TimeSeries};
+use hyscale_sim::{SimDuration, SimTime, SnapReader, SnapshotError, TickEngine};
 use hyscale_trace::{EventKind, TraceSink};
-use hyscale_workload::{ArrivalProcess, LoadPattern, ServiceGraph, ServiceProfile, ServiceSpec};
+use hyscale_workload::{LoadPattern, ServiceGraph, ServiceProfile, ServiceSpec};
 
 use crate::algorithms::{AlgorithmKind, HpaConfig, HyScaleConfig};
-use crate::balancer::LoadBalancer;
-use crate::controlplane::{ControlPlane, ControlPlaneConfig, ControlPlaneStats};
+use crate::controlplane::{ControlPlaneConfig, ControlPlaneStats};
 use crate::error::CoreError;
-use crate::flowgraph::{EntryPointStats, GraphTracker, PendingHop};
-use crate::monitor::Monitor;
-use crate::recovery::{RecoveryConfig, RecoveryManager};
+use crate::flowgraph::EntryPointStats;
+use crate::recovery::RecoveryConfig;
 use crate::resilience::{ResilienceConfig, ResilienceStats};
-use hyscale_cluster::FailedRequest;
+use crate::run::Run;
 
 /// Complete description of one experiment run.
 #[derive(Debug, Clone)]
@@ -376,61 +367,6 @@ impl RunReport {
     }
 }
 
-/// Tallies one aborted/failed request exactly once, into both the overall
-/// and the per-service outcomes, according to the paper's taxonomy:
-/// scale-in and decommission aborts are **removal** failures, while
-/// timeouts, queue aborts, and infrastructure deaths are tallied
-/// separately and rolled up as **connection** failures in reports. Every
-/// failure-recording site in the driver funnels through here, so a
-/// request can never be double-counted or dropped — and, in graph mode,
-/// so every lost hop reliably fails its root (or, with the resilience
-/// layer enabled and a retryable failure, re-queues as a retry hop).
-/// The failed attempt is tallied either way: retries are extra issued
-/// load, so per-attempt accounting keeps `completed + failures ≤
-/// issued` intact.
-#[allow(clippy::too_many_arguments)]
-fn record_failure(
-    requests: &mut RequestOutcomes,
-    per_service: &mut BTreeMap<ServiceId, RequestOutcomes>,
-    graph: Option<&mut GraphTracker>,
-    failure: &FailedRequest,
-    rng: &mut SimRng,
-    trace: &mut TraceSink,
-    traced: bool,
-) {
-    if let Some(tracker) = graph {
-        tracker.on_failed(failure, rng, trace, traced);
-    }
-    // Per-request paths always carry count 1; aborted cohorts arrive as
-    // one aggregate record carrying their member count.
-    record_failure_tally(requests, failure.kind, failure.count);
-    if let Some(out) = per_service.get_mut(&failure.service) {
-        record_failure_tally(out, failure.kind, failure.count);
-    }
-}
-
-/// Bumps one outcome record's failure tally by kind.
-fn record_failure_tally(out: &mut RequestOutcomes, kind: FailureKind, count: u64) {
-    match kind {
-        FailureKind::Removal => out.record_removal_failures(count),
-        FailureKind::Timeout => out.record_timeout_failures(count),
-        FailureKind::QueueAbort => out.record_queue_abort_failures(count),
-        FailureKind::InfraDeath => out.record_infra_death_failures(count),
-    }
-}
-
-/// Events on the driver's queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Event {
-    /// A client request for service index `usize` arrives.
-    Arrival(usize),
-    /// The Monitor's scaling period fires.
-    Scale,
-    /// A scheduled machine addition/removal (index into
-    /// `config.node_events`).
-    NodeChange(usize),
-}
-
 /// Runs scenarios.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimulationDriver;
@@ -463,11 +399,9 @@ impl SimulationDriver {
         trace: &mut TraceSink,
     ) -> Result<RunReport, CoreError> {
         config.validate()?;
-        let mut master_rng = SimRng::seed_from(config.seed);
-        let traced = trace.is_enabled();
         // A resumed run continues the interrupted run's journal: it
         // neither re-announces the run nor restarts sequence numbers.
-        if traced && config.resume.is_none() {
+        if config.resume.is_none() {
             trace.emit(
                 SimTime::ZERO,
                 EventKind::RunStart {
@@ -476,1129 +410,44 @@ impl SimulationDriver {
                 },
             );
         }
-
-        // --- Cluster setup -------------------------------------------------
-        let mut cluster = Cluster::new(config.cluster);
-        cluster.set_parallelism(config.parallelism);
-        let node_ids: Vec<NodeId> = config
-            .nodes
-            .iter()
-            .map(|spec| cluster.add_node(*spec))
-            .collect();
-
-        for (node_idx, spec) in &config.antagonists {
-            let spec = spec.clone().with_startup_secs(0.0);
-            cluster.start_container(node_ids[*node_idx], spec, SimTime::ZERO)?;
-        }
-
-        // Initial replicas, placed round-robin across nodes. They are
-        // pre-warmed (no startup delay): the paper's services are already
-        // running when an experiment's measurement window opens.
-        let mut placement_cursor = 0usize;
-        for service in &config.services {
-            for _ in 0..config.initial_replicas {
-                let node = node_ids[placement_cursor % node_ids.len()];
-                placement_cursor += 1;
-                let spec = service.container.clone().with_startup_secs(0.0);
-                cluster.start_container(node, spec, SimTime::ZERO)?;
-            }
-        }
-
-        // --- Platform setup -------------------------------------------------
-        let templates: HashMap<ServiceId, ContainerSpec> = config
-            .services
-            .iter()
-            .map(|s| (s.id, s.container.clone()))
-            .collect();
-        let algorithm = config.algorithm.build(config.hpa, config.hyscale);
-        let mut monitor = Monitor::new(algorithm, &cluster, templates.clone());
-        let mut recovery = RecoveryManager::new(config.recovery);
-        let mut injector = FaultInjector::new(&config.faults, &node_ids);
-
-        // --- Workload setup ---------------------------------------------------
-        let mut arrival_rngs: Vec<SimRng> =
-            config.services.iter().map(|_| master_rng.split()).collect();
-        let mut demand_rngs: Vec<SimRng> =
-            config.services.iter().map(|_| master_rng.split()).collect();
-        // Control-plane streams split *after* the workload streams so a
-        // disabled control plane leaves every legacy stream untouched
-        // (the splits still happen, keeping seeds comparable across
-        // configs that only toggle `control_plane.enabled`).
-        let cp_rng = master_rng.split();
-        let lb_rng = master_rng.split();
-        // The resilience stream (retry-backoff jitter) splits last and
-        // unconditionally, so toggling the layer never shifts any other
-        // stream; it is only ever drawn from in the serial phase.
-        let mut resilience_rng = master_rng.split();
-
-        let degraded_control = config.control_plane.enabled;
-        let service_ids: Vec<ServiceId> = config.services.iter().map(|s| s.id).collect();
-        let mut balancer = if degraded_control {
-            monitor.set_control_plane(ControlPlane::new(config.control_plane, cp_rng));
-            let mut lb = LoadBalancer::with_breakers(config.control_plane.breaker, lb_rng);
-            // The balancer's first backend snapshot is the initial
-            // placement; later ones arrive once per scaling period.
-            lb.refresh(&cluster, &service_ids);
-            lb
-        } else {
-            LoadBalancer::new()
-        };
-        let mut arrivals: Vec<ArrivalProcess> = config
-            .services
-            .iter()
-            .map(|s| ArrivalProcess::new(s.load.clone()))
-            .collect();
-
-        // Graph mode: client load attaches only to entry points; every
-        // non-entry tier sees purely derived traffic. Non-entry services
-        // never draw from their arrival streams, which is exactly why an
-        // edge-free graph (every service an entry) reproduces the
-        // graph-free run bit for bit.
-        let mut graph_tracker: Option<GraphTracker> = config
-            .graph
-            .as_ref()
-            .map(|g| GraphTracker::new(g.clone(), &config.services, config.resilience));
-        let takes_client_load = |idx: usize, tracker: &Option<GraphTracker>| {
-            tracker.as_ref().is_none_or(|t| t.is_entry(idx))
-        };
-
-        let mut events: EventQueue<Event> = EventQueue::new();
-        if !config.cohort_arrivals {
-            // Per-request mode: each service runs a thinned Poisson
-            // process of individual arrival events. Cohort mode draws a
-            // per-tick Poisson count inside the tick body instead.
-            for (idx, process) in arrivals.iter_mut().enumerate() {
-                if !takes_client_load(idx, &graph_tracker) {
-                    continue;
-                }
-                let first = process.next_arrival(SimTime::ZERO, &mut arrival_rngs[idx]);
-                if first < SimTime::MAX {
-                    events.schedule(first, Event::Arrival(idx));
-                }
-            }
-        }
-        events.schedule(SimTime::ZERO + config.scale_period, Event::Scale);
-        for (idx, (secs, _)) in config.node_events.iter().enumerate() {
-            events.schedule(SimTime::from_secs(*secs), Event::NodeChange(idx));
-        }
-
-        // --- Metrics ------------------------------------------------------------
-        let mut requests = RequestOutcomes::new();
-        let mut per_service: BTreeMap<ServiceId, RequestOutcomes> = config
-            .services
-            .iter()
-            .map(|s| (s.id, RequestOutcomes::new()))
-            .collect();
-        let mut scaling = ScalingCounts::default();
-        let mut cost = CostMeter::new();
-        let mut replicas_ts = TimeSeries::new("replicas");
-        let mut cpu_ts = TimeSeries::new("cpu-used-cores");
-        let mut mem_ts = TimeSeries::new("mem-used-mb");
-
-        // Per-tick availability roll calls cost one pass over all
-        // containers, so they only run for scenarios that can actually
-        // lose replicas to the infrastructure.
-        let track_availability = !config.faults.is_empty() || !config.node_events.is_empty();
-        let mut availability: BTreeMap<ServiceId, AvailabilityTracker> = config
-            .services
-            .iter()
-            .map(|s| (s.id, AvailabilityTracker::new()))
-            .collect();
-        let mut ready_counts: Vec<u32> = Vec::new();
-
-        // Trace tallies: per-service balancer routing deltas since the
-        // last scaling period (emitted as `BalancerStats`, then reset)
-        // plus run totals for the end-of-run counter dump.
-        let mut balancer_deltas: Vec<(u64, u64)> = vec![(0, 0); config.services.len()];
-        let mut balancer_total = (0u64, 0u64);
-        let mut deaths_total = 0u64;
-        let mut respawns_total = 0u64;
-        let mut recovery_failures_total = 0u64;
-
-        let horizon = SimTime::ZERO + config.duration;
-        let mut engine = TickEngine::new(config.tick, horizon)?;
-        let scale_period_secs = config.scale_period.as_secs();
-        let mut tick_report = TickReport::default();
-        // Cohort-mode scratch (reused across ticks) and the warp tally.
-        let mut cohort_routes: Vec<(ContainerId, u64)> = Vec::new();
-        let mut warp_ticks = 0u64;
-
-        // --- Snapshot / resume ------------------------------------------------
-        let cfg_digest = config_digest(config);
-        let snapshot_policy = config.snapshot.clone();
-        let mut next_snapshot_tick = snapshot_policy.as_ref().map_or(0, |p| p.every_ticks);
-        let mut halted = false;
-
+        let mut run = Run::new(config)?;
+        let mut engine = TickEngine::new(config.tick, SimTime::ZERO + config.duration)?;
         if let Some(path) = &config.resume {
             // Overlay the snapshot onto the freshly built deterministic
-            // setup above. The file is validated end to end (magic,
-            // version, checksum, config digest, exact payload length)
-            // before any state is committed by the all-or-nothing
-            // sub-restores, so a bad file can never leave a partial run.
+            // setup. The frame is validated (magic, version, checksum)
+            // before any field is read, and any restore error ends the
+            // run, so a bad file can never leave a partial run behind.
             let bytes = std::fs::read(path).map_err(SnapshotError::from)?;
-            let mut r = SnapReader::open(&bytes)?;
-            let found = r.get_u64()?;
-            if found != cfg_digest {
-                return Err(SnapshotError::ConfigMismatch {
-                    expected: cfg_digest,
-                    found,
-                }
-                .into());
-            }
-            let now = SimTime::from_micros(r.get_u64()?);
-            let ticks_run = r.get_u64()?;
+            let (now, ticks_run, trace_seq) =
+                run.snapshot_restore(&mut SnapReader::open(&bytes)?)?;
             engine.restore_clock(now, ticks_run);
-            let seq = r.get_u64()?;
-            if traced {
-                trace.resume_at(seq);
-            }
-            cluster.snapshot_restore(&mut r)?;
-            monitor.snapshot_restore(&mut r)?;
-            balancer.snapshot_restore(&mut r)?;
-            recovery.snapshot_restore(&mut r)?;
-            injector.snapshot_restore(&mut r)?;
-            restore_rngs(&mut r, &mut arrival_rngs)?;
-            restore_rngs(&mut r, &mut demand_rngs)?;
-            restore_rngs(&mut r, std::slice::from_mut(&mut resilience_rng))?;
-            events = EventQueue::new();
-            for _ in 0..r.get_usize()? {
-                let time = SimTime::from_micros(r.get_u64()?);
-                let event = match r.get_u8()? {
-                    0 => Event::Arrival(r.get_usize()?),
-                    1 => Event::Scale,
-                    2 => Event::NodeChange(r.get_usize()?),
-                    tag => {
-                        return Err(SnapshotError::Corrupt(format!(
-                            "unknown driver-event tag {tag}"
-                        ))
-                        .into());
-                    }
-                };
-                events.schedule(time, event);
-            }
-            requests = read_outcomes(&mut r)?;
-            let mut restored_per_service: BTreeMap<ServiceId, RequestOutcomes> = BTreeMap::new();
-            for _ in 0..r.get_usize()? {
-                let svc = ServiceId::new(r.get_u32()?);
-                restored_per_service.insert(svc, read_outcomes(&mut r)?);
-            }
-            per_service = restored_per_service;
-            scaling = ScalingCounts {
-                vertical: r.get_u64()?,
-                spawns: r.get_u64()?,
-                removals: r.get_u64()?,
-            };
-            cost =
-                CostMeter::from_raw_parts((r.get_f64()?, r.get_f64()?, r.get_f64()?, r.get_f64()?));
-            read_series_into(&mut r, &mut replicas_ts)?;
-            read_series_into(&mut r, &mut cpu_ts)?;
-            read_series_into(&mut r, &mut mem_ts)?;
-            let mut restored_avail: BTreeMap<ServiceId, AvailabilityTracker> = BTreeMap::new();
-            for _ in 0..r.get_usize()? {
-                let svc = ServiceId::new(r.get_u32()?);
-                let parts = (
-                    r.get_f64()?,
-                    r.get_f64()?,
-                    r.get_u64()?,
-                    r.get_u64()?,
-                    r.get_f64()?,
-                    r.get_opt_f64()?,
-                    r.get_u64()?,
-                    r.get_u64()?,
-                    r.get_u64()?,
-                );
-                restored_avail.insert(svc, AvailabilityTracker::from_raw_parts(parts));
-            }
-            availability = restored_avail;
-            let n = r.get_usize()?;
-            if n != balancer_deltas.len() {
-                return Err(SnapshotError::Corrupt(format!(
-                    "snapshot carries {n} balancer tallies, scenario has {} services",
-                    balancer_deltas.len()
-                ))
-                .into());
-            }
-            for delta in balancer_deltas.iter_mut() {
-                *delta = (r.get_u64()?, r.get_u64()?);
-            }
-            balancer_total = (r.get_u64()?, r.get_u64()?);
-            deaths_total = r.get_u64()?;
-            respawns_total = r.get_u64()?;
-            recovery_failures_total = r.get_u64()?;
-            warp_ticks = r.get_u64()?;
-            // Graph-tracker state (presence is pinned by the config
-            // digest, but the tag is still validated).
-            match (r.get_u8()?, graph_tracker.as_mut()) {
-                (0, None) => {}
-                (1, Some(tracker)) => tracker.snapshot_restore(&mut r)?,
-                (tag, tracker) => {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "graph-state tag {tag} does not match scenario (graph {})",
-                        if tracker.is_some() { "on" } else { "off" }
-                    ))
-                    .into());
-                }
-            }
-            r.expect_done()?;
-            if let Some(policy) = &snapshot_policy {
-                next_snapshot_tick =
-                    (engine.ticks_run() / policy.every_ticks + 1) * policy.every_ticks;
+            if trace.is_enabled() {
+                trace.resume_at(trace_seq);
             }
         }
 
-        while !engine.finished() {
-            let outcome = engine.step(|now, dt| {
-                // 0. Fault injection strikes at the start of the tick, in the
-                // serial phase (never inside the parallel node workers), so
-                // chaos runs stay bit-identical at any parallelism setting.
-                if !injector.drained() {
-                    for failure in injector.apply_due_traced(&mut cluster, now, trace) {
-                        record_failure(
-                            &mut requests,
-                            &mut per_service,
-                            graph_tracker.as_mut(),
-                            &failure,
-                            &mut resilience_rng,
-                            trace,
-                            traced,
-                        );
-                    }
-                }
-
-                // 1. Deliver due events at the start of the tick.
-                while let Some((event_time, event)) = events.pop_due(now) {
-                    match event {
-                        Event::Arrival(idx) => {
-                            let service = &config.services[idx];
-                            // Overload shedding: at or above the in-flight
-                            // watermark the root is dropped unissued (counted
-                            // as shed, not failed) so queued work can drain.
-                            // The watermark reads serial-phase cluster state,
-                            // so the decision is identical at any worker
-                            // count; the skipped demand draw is deterministic
-                            // per config for the same reason.
-                            let shed = match graph_tracker.as_mut() {
-                                Some(t) if t.sheds() => {
-                                    let in_flight = cluster.service_in_flight(service.id);
-                                    if in_flight >= t.shed_watermark() {
-                                        t.record_shed(idx, 1, in_flight, event_time, trace, traced);
-                                        true
-                                    } else {
-                                        false
-                                    }
-                                }
-                                _ => false,
-                            };
-                            if !shed {
-                                requests.record_issued();
-                                let outcomes =
-                                    per_service.get_mut(&service.id).expect("known service");
-                                outcomes.record_issued();
-                                let mut request =
-                                    service.make_request(event_time, &mut demand_rngs[idx]);
-                                // In graph mode every arrival opens a root; a
-                                // request the balancer or admission rejects
-                                // either retries (resilience on) or fails it
-                                // on the spot (seal resolves roots that
-                                // registered no hop). Entry hops inherit
-                                // `min(service timeout, deadline budget)`.
-                                let root = graph_tracker
-                                    .as_mut()
-                                    .map(|t| t.begin_root(idx, event_time, 1));
-                                let entry_hop = root.map(|root| {
-                                    let t = graph_tracker.as_mut().expect("root implies tracker");
-                                    request.timeout =
-                                        t.hop_timeout(root, event_time, request.timeout);
-                                    PendingHop {
-                                        service: idx,
-                                        depth: 0,
-                                        root,
-                                        count: 1,
-                                        cpu_secs: request.cpu_secs,
-                                        mem_mb: request.mem.0,
-                                        megabits: request.megabits_out,
-                                        disk_megabits: request.disk_megabits,
-                                        arrival: event_time,
-                                        attempt: 0,
-                                        policy: 0,
-                                    }
-                                });
-                                match balancer.route(&cluster, service.id, now) {
-                                    Some(target) => {
-                                        balancer_deltas[idx].0 += 1;
-                                        balancer_total.0 += 1;
-                                        match cluster.admit_request(target, request, now) {
-                                            Ok(id) => {
-                                                if let (Some(t), Some(hop)) =
-                                                    (graph_tracker.as_mut(), entry_hop.as_ref())
-                                                {
-                                                    t.register_hop(hop.root, id.index(), hop);
-                                                }
-                                                balancer.record_success(target, now, trace);
-                                            }
-                                            Err(_) => {
-                                                requests.record_queue_abort_failure();
-                                                outcomes.record_queue_abort_failure();
-                                                // Feeds the replica's circuit breaker
-                                                // (no-op for the live-mode balancer).
-                                                balancer.record_failure(target, now, trace);
-                                                if let (Some(t), Some(hop)) =
-                                                    (graph_tracker.as_mut(), entry_hop.as_ref())
-                                                {
-                                                    t.on_unadmitted(
-                                                        hop,
-                                                        1,
-                                                        now,
-                                                        &mut resilience_rng,
-                                                        trace,
-                                                        traced,
-                                                    );
-                                                }
-                                            }
-                                        }
-                                    }
-                                    None => {
-                                        balancer_deltas[idx].1 += 1;
-                                        balancer_total.1 += 1;
-                                        requests.record_queue_abort_failure();
-                                        outcomes.record_queue_abort_failure();
-                                        if let (Some(t), Some(hop)) =
-                                            (graph_tracker.as_mut(), entry_hop.as_ref())
-                                        {
-                                            t.on_unadmitted(
-                                                hop,
-                                                1,
-                                                now,
-                                                &mut resilience_rng,
-                                                trace,
-                                                traced,
-                                            );
-                                        }
-                                    }
-                                }
-                                if let (Some(t), Some(root)) = (graph_tracker.as_mut(), root) {
-                                    t.seal_root(root);
-                                }
-                            }
-                            let next =
-                                arrivals[idx].next_arrival(event_time, &mut arrival_rngs[idx]);
-                            if next < SimTime::MAX && next < horizon {
-                                events.schedule(next, Event::Arrival(idx));
-                            }
-                        }
-                        Event::NodeChange(idx) => {
-                            let (_, event) = &config.node_events[idx];
-                            match event {
-                                NodeEvent::Decommission(node_idx) => {
-                                    let failures: Vec<FailedRequest> = cluster
-                                        .decommission_node(node_ids[*node_idx], now)
-                                        .unwrap_or_default();
-                                    for failure in &failures {
-                                        record_failure(
-                                            &mut requests,
-                                            &mut per_service,
-                                            graph_tracker.as_mut(),
-                                            failure,
-                                            &mut resilience_rng,
-                                            trace,
-                                            traced,
-                                        );
-                                    }
-                                }
-                                NodeEvent::Commission(spec) => {
-                                    cluster.add_node(*spec);
-                                }
-                            }
-                        }
-                        Event::Scale => {
-                            // Muted NodeManagers (stat outages) leave their
-                            // containers on stale usage this period.
-                            monitor.set_stat_outages(injector.muted_nodes(now));
-                            let report = monitor.run_period_traced(
-                                &mut cluster,
-                                now,
-                                scale_period_secs,
-                                trace,
-                            );
-                            for action in &report.applied {
-                                use crate::actions::ScalingAction;
-                                match action {
-                                    ScalingAction::Update { .. }
-                                    | ScalingAction::SetNetCap { .. } => {
-                                        scaling.vertical += 1;
-                                    }
-                                    ScalingAction::Spawn { .. } => scaling.spawns += 1,
-                                    ScalingAction::Remove { .. } => scaling.removals += 1,
-                                }
-                            }
-                            for failure in &report.removal_failures {
-                                record_failure(
-                                    &mut requests,
-                                    &mut per_service,
-                                    graph_tracker.as_mut(),
-                                    failure,
-                                    &mut resilience_rng,
-                                    trace,
-                                    traced,
-                                );
-                            }
-
-                            // Replicas that died underneath the platform are
-                            // respawned through the recovery path (placement +
-                            // capped exponential backoff).
-                            deaths_total += report.dead_replicas.len() as u64;
-                            for (service, _) in &report.dead_replicas {
-                                if let Some(t) = availability.get_mut(service) {
-                                    t.record_death();
-                                }
-                            }
-                            let recovered =
-                                recovery.run_traced(&mut cluster, &templates, now, trace);
-                            respawns_total += recovered.respawned.len() as u64;
-                            recovery_failures_total += recovered.failed.len() as u64;
-                            for (service, _) in &recovered.respawned {
-                                if let Some(t) = availability.get_mut(service) {
-                                    t.record_respawn();
-                                }
-                            }
-                            for service in &recovered.failed {
-                                if let Some(t) = availability.get_mut(service) {
-                                    t.record_recovery_failure();
-                                }
-                            }
-
-                            // The balancer hears the period's final replica
-                            // roll call (post scaling + recovery). Snapshot
-                            // mode routes off this until the next period;
-                            // live mode ignores it.
-                            balancer.refresh(&cluster, &service_ids);
-
-                            // Periodic samples for the report.
-                            let secs = now.as_secs();
-                            replicas_ts.push(secs, report.view.total_replicas() as f64);
-                            let cpu_used: f64 = report
-                                .view
-                                .services
-                                .iter()
-                                .map(|s| s.total_cpu_used().get())
-                                .sum();
-                            let mem_used: f64 = report
-                                .view
-                                .services
-                                .iter()
-                                .map(|s| s.total_mem_used().get())
-                                .sum();
-                            cpu_ts.push(secs, cpu_used);
-                            mem_ts.push(secs, mem_used);
-
-                            let allocated: f64 = report
-                                .view
-                                .services
-                                .iter()
-                                .flat_map(|s| s.replicas.iter())
-                                .map(|r| r.cpu_requested.get())
-                                .sum();
-                            let containers = report.view.total_replicas();
-                            let busy_nodes = report
-                                .view
-                                .nodes
-                                .iter()
-                                .filter(|n| !n.hosted_services.is_empty())
-                                .count();
-                            cost.record_interval(
-                                scale_period_secs,
-                                allocated,
-                                containers,
-                                busy_nodes,
-                            );
-
-                            // Periodic trace snapshots: per-node allocator
-                            // headroom, then this period's routing deltas.
-                            if traced {
-                                cluster.trace_pressure(now, trace);
-                                for (svc_idx, service) in config.services.iter().enumerate() {
-                                    let (routed, rejected) = balancer_deltas[svc_idx];
-                                    trace.emit(
-                                        now,
-                                        EventKind::BalancerStats {
-                                            service: service.id.index(),
-                                            routed,
-                                            rejected,
-                                        },
-                                    );
-                                    balancer_deltas[svc_idx] = (0, 0);
-                                }
-                            }
-
-                            events.schedule(now + config.scale_period, Event::Scale);
-                        }
-                    }
-                }
-
-                // 1b. Cohort-mode arrivals: one Poisson draw per service per
-                // tick, carried as a single flow cohort and waterfilled
-                // across replicas. The draw uses the same arrival/demand RNG
-                // streams as per-request mode (one count draw, one profile
-                // draw), so seeds stay comparable across services.
-                if config.cohort_arrivals {
-                    let dt_secs = dt.as_secs();
-                    for (idx, service) in config.services.iter().enumerate() {
-                        if !takes_client_load(idx, &graph_tracker) {
-                            continue;
-                        }
-                        let mean = service.load.rate_at(now) * dt_secs;
-                        let n = arrival_rngs[idx].poisson(mean);
-                        if n == 0 {
-                            continue;
-                        }
-                        // Overload shedding (see the per-request arm): the
-                        // whole tick's cohort is dropped unissued when the
-                        // entry point is at or above its in-flight watermark.
-                        if let Some(t) = graph_tracker.as_mut() {
-                            if t.sheds() {
-                                let in_flight = cluster.service_in_flight(service.id);
-                                if in_flight >= t.shed_watermark() {
-                                    t.record_shed(idx, n, in_flight, now, trace, traced);
-                                    continue;
-                                }
-                            }
-                        }
-                        requests.record_issued_n(n);
-                        let outcomes = per_service.get_mut(&service.id).expect("known service");
-                        outcomes.record_issued_n(n);
-                        let mut cohort = service.make_cohort(now, n, &mut demand_rngs[idx]);
-                        let root = graph_tracker.as_mut().map(|t| t.begin_root(idx, now, n));
-                        let entry_hop = root.map(|root| {
-                            let t = graph_tracker.as_mut().expect("root implies tracker");
-                            cohort.timeout = t.hop_timeout(root, now, cohort.timeout);
-                            PendingHop {
-                                service: idx,
-                                depth: 0,
-                                root,
-                                count: n,
-                                cpu_secs: cohort.cpu_secs,
-                                mem_mb: cohort.mem.0,
-                                megabits: cohort.megabits_out,
-                                disk_megabits: cohort.disk_megabits,
-                                arrival: now,
-                                attempt: 0,
-                                policy: 0,
-                            }
-                        });
-                        cohort_routes.clear();
-                        let unrouted =
-                            balancer.route_cohort(&cluster, service.id, n, now, &mut cohort_routes);
-                        let mut routed_members = 0u64;
-                        let mut rejected_members = unrouted;
-                        for &(target, members) in cohort_routes.iter() {
-                            let mut share = cohort.clone();
-                            share.count = members;
-                            match cluster.admit_cohort(target, share, now) {
-                                Ok(base) => {
-                                    routed_members += members;
-                                    if let (Some(t), Some(hop)) =
-                                        (graph_tracker.as_mut(), entry_hop.as_ref())
-                                    {
-                                        t.register_hop(hop.root, base.index(), hop);
-                                    }
-                                    balancer.record_success(target, now, trace);
-                                }
-                                Err(_) => {
-                                    rejected_members += members;
-                                    requests.record_queue_abort_failures(members);
-                                    outcomes.record_queue_abort_failures(members);
-                                    // Feeds the replica's circuit breaker (no-op
-                                    // for the live-mode balancer).
-                                    balancer.record_failure(target, now, trace);
-                                }
-                            }
-                        }
-                        if unrouted > 0 {
-                            requests.record_queue_abort_failures(unrouted);
-                            outcomes.record_queue_abort_failures(unrouted);
-                        }
-                        if let (Some(t), Some(hop)) = (graph_tracker.as_mut(), entry_hop.as_ref()) {
-                            // Lost members either re-queue as one retry hop
-                            // (resilience on, retryable) or fail the whole
-                            // root; a root with no admitted hop and no
-                            // queued retry resolves right here.
-                            if rejected_members > 0 {
-                                t.on_unadmitted(
-                                    hop,
-                                    rejected_members,
-                                    now,
-                                    &mut resilience_rng,
-                                    trace,
-                                    traced,
-                                );
-                            }
-                            t.seal_root(hop.root);
-                        }
-                        balancer_deltas[idx].0 += routed_members;
-                        balancer_deltas[idx].1 += rejected_members;
-                        balancer_total.0 += routed_members;
-                        balancer_total.1 += rejected_members;
-                        if traced {
-                            trace.emit(
-                                now,
-                                EventKind::CohortFlow {
-                                    service: service.id.index(),
-                                    count: n,
-                                    routed: routed_members,
-                                    rejected: rejected_members,
-                                },
-                            );
-                        }
-                    }
-                }
-
-                // 1c. Graph mode: admit the child hops queued by hops that
-                // completed last tick. Children ride the cohort machinery
-                // regardless of arrival mode (one aggregate record per
-                // admitted share, valid for count = 1), and their arrival
-                // time is the parent's finish — the gap until `now` is the
-                // inter-tier queueing delay the spans report.
-                if graph_tracker
-                    .as_ref()
-                    .is_some_and(GraphTracker::has_pending)
-                {
-                    let tracker = graph_tracker.as_mut().expect("checked above");
-                    let pending = tracker.take_due(now);
-                    for hop in &pending {
-                        let service = &config.services[hop.service];
-                        let svc_idx = hop.service;
-                        requests.record_issued_n(hop.count);
-                        let outcomes = per_service.get_mut(&service.id).expect("known service");
-                        outcomes.record_issued_n(hop.count);
-                        let child = Request::new(
-                            service.id,
-                            hop.arrival,
-                            hop.cpu_secs,
-                            MemMb(hop.mem_mb),
-                            hop.megabits,
-                        )
-                        .with_disk(hop.disk_megabits)
-                        .with_timeout(tracker.hop_timeout(
-                            hop.root,
-                            hop.arrival,
-                            service.timeout,
-                        ));
-                        let cohort =
-                            Cohort::from_request(&child, hop.count).with_attempt(hop.attempt);
-                        cohort_routes.clear();
-                        let unrouted = balancer.route_cohort(
-                            &cluster,
-                            service.id,
-                            hop.count,
-                            now,
-                            &mut cohort_routes,
-                        );
-                        let mut routed_members = 0u64;
-                        let mut rejected_members = unrouted;
-                        for &(target, members) in cohort_routes.iter() {
-                            let mut share = cohort.clone();
-                            share.count = members;
-                            match cluster.admit_cohort(target, share, now) {
-                                Ok(base) => {
-                                    routed_members += members;
-                                    tracker.register_hop(hop.root, base.index(), hop);
-                                    balancer.record_success(target, now, trace);
-                                }
-                                Err(_) => {
-                                    rejected_members += members;
-                                    requests.record_queue_abort_failures(members);
-                                    outcomes.record_queue_abort_failures(members);
-                                    balancer.record_failure(target, now, trace);
-                                }
-                            }
-                        }
-                        if unrouted > 0 {
-                            requests.record_queue_abort_failures(unrouted);
-                            outcomes.record_queue_abort_failures(unrouted);
-                        }
-                        if rejected_members > 0 {
-                            // Retryable rejections re-queue (counting toward
-                            // the root's pending total) before the settle
-                            // below, so the root cannot resolve under them.
-                            tracker.on_unadmitted(
-                                hop,
-                                rejected_members,
-                                now,
-                                &mut resilience_rng,
-                                trace,
-                                traced,
-                            );
-                        }
-                        // The queued entry itself is settled last, so the
-                        // root cannot resolve before its shares register.
-                        tracker.settle_queued(hop.root);
-                        balancer_deltas[svc_idx].0 += routed_members;
-                        balancer_deltas[svc_idx].1 += rejected_members;
-                        balancer_total.0 += routed_members;
-                        balancer_total.1 += rejected_members;
-                    }
-                    tracker.return_pending_scratch(pending);
-                }
-
-                // 2. Advance the resource model (reusing one report buffer
-                // across ticks keeps the hot loop allocation-free).
-                cluster.advance_into(now, dt, &mut tick_report);
-                let had_outcomes =
-                    !tick_report.completed.is_empty() || !tick_report.failed.is_empty();
-                for done in tick_report.completed.drain(..) {
-                    requests.record_completed_n(done.response_time.as_secs(), done.count);
-                    if let Some(out) = per_service.get_mut(&done.service) {
-                        out.record_completed_n(done.response_time.as_secs(), done.count);
-                    }
-                    if let Some(tracker) = graph_tracker.as_mut() {
-                        // Journals the hop's span, queues its children for
-                        // next tick, and resolves the root if this was its
-                        // last outstanding hop.
-                        tracker.on_completed(&done, &config.services, trace, traced);
-                    }
-                }
-                for failed in tick_report.failed.drain(..) {
-                    record_failure(
-                        &mut requests,
-                        &mut per_service,
-                        graph_tracker.as_mut(),
-                        &failed,
-                        &mut resilience_rng,
-                        trace,
-                        traced,
-                    );
-                }
-
-                // 3. Availability roll call: a service is up in this tick iff
-                // at least one ready replica exists.
-                if track_availability {
-                    cluster.ready_replicas_into(now, &mut ready_counts);
-                    let dt_secs = dt.as_secs();
-                    for (service, tracker) in availability.iter_mut() {
-                        let up = ready_counts.get(service.as_usize()).is_some_and(|&n| n > 0);
-                        tracker.record_tick(dt_secs, up);
-                    }
-                }
-
-                // 4. Time warp: when this tick ended with nothing in flight
-                // and nothing due before the next event boundary, advance the
-                // idle stretch in closed form and tell the engine to skip it.
-                // The boundary is the earliest of the next queued event (a
-                // Scale event is always queued), the next fault or recovery,
-                // and the horizon; in cohort mode the span is additionally
-                // shrunk until the load patterns are provably silent over it.
-                if config.time_warp
-                    && !had_outcomes
-                    && cluster.total_in_flight() == 0
-                    && graph_tracker.as_ref().is_none_or(GraphTracker::is_idle)
-                {
-                    let end = now + dt;
-                    let mut boundary = events.peek_time().unwrap_or(horizon).min(horizon);
-                    if let Some(due) = injector.next_due_time() {
-                        boundary = boundary.min(due);
-                    }
-                    if boundary > end {
-                        let dt_us = dt.as_micros().max(1);
-                        // Number of tick starts in [end, boundary): ticks
-                        // starting at or past the boundary must run normally.
-                        let mut k = (boundary - end).as_micros().div_ceil(dt_us);
-                        if config.cohort_arrivals {
-                            while k > 0 {
-                                let span_end = end + dt * k;
-                                let quiet = config
-                                    .services
-                                    .iter()
-                                    .all(|s| s.load.max_rate_in(end, span_end) == 0.0);
-                                if quiet {
-                                    break;
-                                }
-                                k /= 2;
-                            }
-                        }
-                        let warped = cluster.advance_warp(end, dt, k);
-                        if warped > 0 {
-                            warp_ticks += warped;
-                            if track_availability {
-                                // Liveness is constant across the warped span
-                                // (advance_warp clamps at startup
-                                // boundaries), so one roll call covers it.
-                                cluster.ready_replicas_into(end, &mut ready_counts);
-                                let span_secs = dt.as_secs() * warped as f64;
-                                for (service, tracker) in availability.iter_mut() {
-                                    let up = ready_counts
-                                        .get(service.as_usize())
-                                        .is_some_and(|&n| n > 0);
-                                    tracker.record_tick(span_secs, up);
-                                }
-                            }
-                            if traced {
-                                trace.emit(
-                                    end,
-                                    EventKind::TimeWarp {
-                                        ticks: warped,
-                                        span_us: dt.as_micros() * warped,
-                                    },
-                                );
-                            }
-                            return TickOutcome::SkipAhead(warped);
-                        }
-                    }
-                }
-                TickOutcome::Continue
-            })?;
-
-            // Snapshot at the tick boundary the body just crossed. `>=`
-            // plus the recompute below lets a time-warp jump that
-            // overshot a boundary snapshot once at its landing tick.
-            if let Some(policy) = &snapshot_policy {
-                if engine.ticks_run() >= next_snapshot_tick && !engine.finished() {
-                    let tick = engine.ticks_run();
-                    let boundary = engine.now();
-                    // The Snapshot event is emitted *before* the state is
-                    // serialized, so the captured trace cursor already
-                    // counts it: an interrupted journal ends exactly
-                    // where the resumed journal begins.
-                    if traced {
-                        trace.emit(
-                            boundary,
-                            EventKind::Snapshot {
-                                tick,
-                                now_us: boundary.as_micros(),
-                            },
-                        );
-                    }
-                    // Replay any lazily-parked idle ticks so the
-                    // serialized windows/EWMAs match a full-scan run.
-                    cluster.flush_pending();
-                    let writer = serialize_state(
-                        cfg_digest,
-                        &DriverState {
-                            engine: &engine,
-                            trace_seq: trace.total_emitted(),
-                            cluster: &cluster,
-                            monitor: &monitor,
-                            balancer: &balancer,
-                            recovery: &recovery,
-                            injector: &injector,
-                            arrival_rngs: &arrival_rngs,
-                            demand_rngs: &demand_rngs,
-                            resilience_rng: &resilience_rng,
-                            events: &events,
-                            requests: &requests,
-                            per_service: &per_service,
-                            scaling: &scaling,
-                            cost: &cost,
-                            replicas_ts: &replicas_ts,
-                            cpu_ts: &cpu_ts,
-                            mem_ts: &mem_ts,
-                            availability: &availability,
-                            balancer_deltas: &balancer_deltas,
-                            balancer_total,
-                            deaths_total,
-                            respawns_total,
-                            recovery_failures_total,
-                            warp_ticks,
-                            graph: graph_tracker.as_ref(),
-                        },
-                    );
-                    std::fs::create_dir_all(&policy.dir).map_err(SnapshotError::from)?;
-                    std::fs::write(policy.file_for(tick), writer.finish())
-                        .map_err(SnapshotError::from)?;
-                    next_snapshot_tick = (tick / policy.every_ticks + 1) * policy.every_ticks;
-                    if policy.halt_after_first {
-                        halted = true;
-                    }
-                }
-            }
-            if halted || matches!(outcome, TickOutcome::Stop) {
-                break;
-            }
-        }
-
-        // Control-plane health counters: the Monitor's control plane
-        // tallies the report/actuation/safe-mode side; the balancer owns
-        // the breaker tally.
-        let mut control_plane_stats = monitor
-            .control_plane()
-            .map(|cp| cp.stats)
-            .unwrap_or_default();
-        control_plane_stats.breaker_opens = balancer.breaker_opens();
-
-        // End-of-horizon state digest: cheap bit-exactness witness for
-        // the resume-equivalence battery. Skipped for halted runs (their
-        // state is mid-flight by design).
-        // Any nodes still parked at the horizon replay their pending
-        // idle ticks now, so end-of-run reads (and the digest below)
-        // match the full-scan engine exactly.
-        cluster.flush_pending();
-        let state_digest = if !halted
-            && engine.finished()
-            && (config.snapshot.is_some() || config.resume.is_some())
-        {
-            Some(
-                serialize_state(
-                    cfg_digest,
-                    &DriverState {
-                        engine: &engine,
-                        trace_seq: trace.total_emitted(),
-                        cluster: &cluster,
-                        monitor: &monitor,
-                        balancer: &balancer,
-                        recovery: &recovery,
-                        injector: &injector,
-                        arrival_rngs: &arrival_rngs,
-                        demand_rngs: &demand_rngs,
-                        resilience_rng: &resilience_rng,
-                        events: &events,
-                        requests: &requests,
-                        per_service: &per_service,
-                        scaling: &scaling,
-                        cost: &cost,
-                        replicas_ts: &replicas_ts,
-                        cpu_ts: &cpu_ts,
-                        mem_ts: &mem_ts,
-                        availability: &availability,
-                        balancer_deltas: &balancer_deltas,
-                        balancer_total,
-                        deaths_total,
-                        respawns_total,
-                        recovery_failures_total,
-                        warp_ticks,
-                        graph: graph_tracker.as_ref(),
-                    },
-                )
-                .digest(),
-            )
-        } else {
-            None
+        // Snapshots fall due every `every_ticks` ticks. `>=` plus the
+        // recompute after each write lets a time-warp jump that overshot
+        // a boundary snapshot once, at its landing tick.
+        let next_due = |ticks_run: u64| {
+            config
+                .snapshot
+                .as_ref()
+                .map_or(0, |p| (ticks_run / p.every_ticks + 1) * p.every_ticks)
         };
-
-        // Final counter dump through the metrics registry: names register
-        // once, in a fixed order, so the journal tail is deterministic by
-        // construction. A halted (snapshot-and-stop) run skips it: the
-        // resumed run emits the dump at the true horizon, keeping the
-        // concatenated journal identical to an uninterrupted one. Graph
-        // counters are appended only for graph scenarios so a graph-free
-        // journal stays byte-identical to pre-graph builds.
-        if traced && !halted {
-            let mut registry = MetricsRegistry::new();
-            let mut totals: Vec<(&'static str, u64)> = vec![
-                ("requests.issued", requests.issued),
-                ("requests.completed", requests.completed),
-                ("failures.connection", requests.failures.connection()),
-                ("failures.removal", requests.failures.removal),
-                ("scaling.vertical", scaling.vertical),
-                ("scaling.spawns", scaling.spawns),
-                ("scaling.removals", scaling.removals),
-                ("balancer.routed", balancer_total.0),
-                ("balancer.rejected", balancer_total.1),
-                ("recovery.respawns", respawns_total),
-                ("recovery.failures", recovery_failures_total),
-                ("replica.deaths", deaths_total),
-                (
-                    "controlplane.reports_lost",
-                    control_plane_stats.reports_lost,
-                ),
-                (
-                    "controlplane.reports_late",
-                    control_plane_stats.reports_late,
-                ),
-                (
-                    "controlplane.reports_duplicated",
-                    control_plane_stats.reports_duplicated,
-                ),
-                (
-                    "controlplane.actuation_failures",
-                    control_plane_stats.actuation_failures,
-                ),
-                (
-                    "controlplane.actuation_retries",
-                    control_plane_stats.actuation_retries,
-                ),
-                (
-                    "controlplane.actuations_deduped",
-                    control_plane_stats.actuations_deduped,
-                ),
-                (
-                    "controlplane.actuations_abandoned",
-                    control_plane_stats.actuations_abandoned,
-                ),
-                (
-                    "controlplane.breaker_opens",
-                    control_plane_stats.breaker_opens,
-                ),
-                (
-                    "controlplane.safe_mode_periods",
-                    control_plane_stats.safe_mode_periods,
-                ),
-                (
-                    "controlplane.stale_vetoes",
-                    control_plane_stats.stale_vetoes,
-                ),
-                ("timewarp.ticks_skipped", warp_ticks),
-            ];
-            if let Some(tracker) = graph_tracker.as_ref() {
-                let stats = tracker.entry_stats();
-                totals.push((
-                    "graph.roots_completed",
-                    stats.iter().map(|s| s.roots_completed).sum(),
-                ));
-                totals.push((
-                    "graph.roots_failed",
-                    stats.iter().map(|s| s.roots_failed).sum(),
-                ));
-                // Resilience counters only exist for resilience-enabled
-                // scenarios, so a resilience-free journal stays
-                // byte-identical to builds without the layer.
-                if config.resilience.enabled {
-                    let rs = tracker.resilience_stats();
-                    totals.push(("retry.attempts", rs.retries));
-                    totals.push(("retry.members", rs.retried_members));
-                    totals.push(("retry.budget_exhausted", rs.budget_exhausted));
-                    totals.push(("retry.deadline_exceeded", rs.deadline_exceeded));
-                    totals.push(("shed.roots", rs.shed_roots));
-                    totals.push(("shed.members", rs.shed_members));
-                    totals.push(("goodput.members", rs.goodput_members));
-                    totals.push(("wasted.members", rs.wasted_members));
+        let mut next_snapshot_tick = next_due(engine.ticks_run());
+        let mut halted = false;
+        while !engine.finished() && !halted {
+            engine.step(|now, dt| run.tick(now, dt, trace))?;
+            if let Some(policy) = &config.snapshot {
+                if engine.ticks_run() >= next_snapshot_tick && !engine.finished() {
+                    run.snapshot_to_file(policy, &engine, trace)?;
+                    next_snapshot_tick = next_due(engine.ticks_run());
+                    halted = policy.halt_after_first;
                 }
             }
-            for (name, value) in totals {
-                let id = registry.counter(name);
-                registry.add(id, value);
-            }
-            for (name, value) in registry.counters() {
-                trace.emit(horizon, EventKind::Counter { name, value });
-            }
         }
-
-        let resilience = graph_tracker
-            .as_ref()
-            .map(|t| t.resilience_stats())
-            .unwrap_or_default();
-        Ok(RunReport {
-            name: config.name.clone(),
-            algorithm: config.algorithm,
-            seeds: vec![config.seed],
-            requests,
-            per_service,
-            scaling,
-            cost,
-            replicas: replicas_ts,
-            cpu_used: cpu_ts,
-            mem_used: mem_ts,
-            availability: availability
-                .into_iter()
-                .map(|(s, t)| (s, t.finalize()))
-                .collect(),
-            faults: injector.log(),
-            control_plane: control_plane_stats,
-            warp_ticks,
-            entry_points: graph_tracker
-                .map(GraphTracker::into_entry_stats)
-                .unwrap_or_default(),
-            resilience,
-            state_digest,
-        })
+        Ok(run.finish(&engine, halted, trace))
     }
 
     /// Runs the scenario once per seed and merges the outcomes — the
@@ -1651,243 +500,6 @@ impl SimulationDriver {
         }
         Ok(merged)
     }
-}
-
-/// Digest of every configuration field that shapes the deterministic
-/// simulation, via the fields' `Debug` forms. Excludes `parallelism`
-/// (bit-identical at any worker count) and the snapshot/resume controls
-/// themselves, so a resumed run may snapshot differently or run on more
-/// workers than the run that wrote the file.
-fn config_digest(config: &ScenarioConfig) -> u64 {
-    let repr = format!(
-        "{}|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{}|{}|{:?}|{:?}",
-        config.name,
-        config.seed,
-        config.duration,
-        config.tick,
-        config.scale_period,
-        config.nodes,
-        config.services,
-        config.initial_replicas,
-        config.algorithm,
-        config.hpa,
-        config.hyscale,
-        config.cluster,
-        config.antagonists,
-        config.node_events,
-        config.faults,
-        config.recovery,
-        config.control_plane,
-        config.cohort_arrivals,
-        config.time_warp,
-        config.graph,
-        config.resilience,
-    );
-    fnv1a(repr.as_bytes())
-}
-
-/// Shared borrows of every piece of mutable run state a snapshot
-/// captures, bundled so [`serialize_state`] has one coherent signature.
-struct DriverState<'a> {
-    engine: &'a TickEngine,
-    trace_seq: u64,
-    cluster: &'a Cluster,
-    monitor: &'a Monitor,
-    balancer: &'a LoadBalancer,
-    recovery: &'a RecoveryManager,
-    injector: &'a FaultInjector,
-    arrival_rngs: &'a [SimRng],
-    demand_rngs: &'a [SimRng],
-    resilience_rng: &'a SimRng,
-    events: &'a EventQueue<Event>,
-    requests: &'a RequestOutcomes,
-    per_service: &'a BTreeMap<ServiceId, RequestOutcomes>,
-    scaling: &'a ScalingCounts,
-    cost: &'a CostMeter,
-    replicas_ts: &'a TimeSeries,
-    cpu_ts: &'a TimeSeries,
-    mem_ts: &'a TimeSeries,
-    availability: &'a BTreeMap<ServiceId, AvailabilityTracker>,
-    balancer_deltas: &'a [(u64, u64)],
-    balancer_total: (u64, u64),
-    deaths_total: u64,
-    respawns_total: u64,
-    recovery_failures_total: u64,
-    warp_ticks: u64,
-    graph: Option<&'a GraphTracker>,
-}
-
-/// Serializes the complete run state into an (unframed) snapshot payload.
-/// [`SnapWriter::finish`] frames it; [`SnapWriter::digest`] turns it into
-/// the end-of-run state digest. The read side is the resume overlay in
-/// [`SimulationDriver::run_traced`]; the two must mirror exactly.
-fn serialize_state(cfg_digest: u64, s: &DriverState<'_>) -> SnapWriter {
-    let mut w = SnapWriter::new();
-    w.put_u64(cfg_digest);
-    w.put_u64(s.engine.now().as_micros());
-    w.put_u64(s.engine.ticks_run());
-    w.put_u64(s.trace_seq);
-    s.cluster.snapshot_write(&mut w);
-    s.monitor.snapshot_write(&mut w);
-    s.balancer.snapshot_write(&mut w);
-    s.recovery.snapshot_write(&mut w);
-    s.injector.snapshot_write(&mut w);
-    write_rngs(&mut w, s.arrival_rngs);
-    write_rngs(&mut w, s.demand_rngs);
-    write_rngs(&mut w, std::slice::from_ref(s.resilience_rng));
-    let entries = s.events.entries_in_order();
-    w.put_usize(entries.len());
-    for (time, event) in entries {
-        w.put_u64(time.as_micros());
-        match *event {
-            Event::Arrival(idx) => {
-                w.put_u8(0);
-                w.put_usize(idx);
-            }
-            Event::Scale => w.put_u8(1),
-            Event::NodeChange(idx) => {
-                w.put_u8(2);
-                w.put_usize(idx);
-            }
-        }
-    }
-    write_outcomes(&mut w, s.requests);
-    w.put_usize(s.per_service.len());
-    for (&svc, outcomes) in s.per_service {
-        w.put_u32(svc.index());
-        write_outcomes(&mut w, outcomes);
-    }
-    w.put_u64(s.scaling.vertical);
-    w.put_u64(s.scaling.spawns);
-    w.put_u64(s.scaling.removals);
-    let (core_secs, container_secs, busy_node_secs, elapsed_secs) = s.cost.raw_parts();
-    w.put_f64(core_secs);
-    w.put_f64(container_secs);
-    w.put_f64(busy_node_secs);
-    w.put_f64(elapsed_secs);
-    write_series(&mut w, s.replicas_ts);
-    write_series(&mut w, s.cpu_ts);
-    write_series(&mut w, s.mem_ts);
-    w.put_usize(s.availability.len());
-    for (&svc, tracker) in s.availability {
-        w.put_u32(svc.index());
-        let parts = tracker.raw_parts();
-        w.put_f64(parts.0);
-        w.put_f64(parts.1);
-        w.put_u64(parts.2);
-        w.put_u64(parts.3);
-        w.put_f64(parts.4);
-        w.put_opt_f64(parts.5);
-        w.put_u64(parts.6);
-        w.put_u64(parts.7);
-        w.put_u64(parts.8);
-    }
-    w.put_usize(s.balancer_deltas.len());
-    for &(routed, rejected) in s.balancer_deltas {
-        w.put_u64(routed);
-        w.put_u64(rejected);
-    }
-    w.put_u64(s.balancer_total.0);
-    w.put_u64(s.balancer_total.1);
-    w.put_u64(s.deaths_total);
-    w.put_u64(s.respawns_total);
-    w.put_u64(s.recovery_failures_total);
-    w.put_u64(s.warp_ticks);
-    match s.graph {
-        None => w.put_u8(0),
-        Some(tracker) => {
-            w.put_u8(1);
-            tracker.snapshot_write(&mut w);
-        }
-    }
-    w
-}
-
-/// Writes the internal states of a slice of RNG streams.
-fn write_rngs(w: &mut SnapWriter, rngs: &[SimRng]) {
-    w.put_usize(rngs.len());
-    for rng in rngs {
-        for word in rng.state() {
-            w.put_u64(word);
-        }
-    }
-}
-
-/// Restores RNG streams written by [`write_rngs`] in place; the count
-/// must match the scenario's stream count exactly.
-fn restore_rngs(r: &mut SnapReader<'_>, rngs: &mut [SimRng]) -> Result<(), SnapshotError> {
-    let n = r.get_usize()?;
-    if n != rngs.len() {
-        return Err(SnapshotError::Corrupt(format!(
-            "snapshot carries {n} RNG streams, scenario expects {}",
-            rngs.len()
-        )));
-    }
-    for rng in rngs {
-        let mut state = [0u64; 4];
-        for word in &mut state {
-            *word = r.get_u64()?;
-        }
-        *rng = SimRng::from_state(state);
-    }
-    Ok(())
-}
-
-/// Writes request outcomes including every response-time sample, so the
-/// restored Welford accumulator is bit-exact (it is replay-order
-/// deterministic). Runs are written expanded, one sample at a time, so
-/// the frame does not depend on how the summary stores them.
-#[doc(hidden)]
-pub fn write_outcomes(w: &mut SnapWriter, o: &RequestOutcomes) {
-    w.put_u64(o.issued);
-    w.put_u64(o.completed);
-    w.put_u64(o.failures.removal);
-    w.put_u64(o.failures.timeout);
-    w.put_u64(o.failures.queue_abort);
-    w.put_u64(o.failures.infra_death);
-    w.put_usize(o.response_times.count());
-    for v in o.response_times.samples() {
-        w.put_f64(v);
-    }
-    w.put_u64(o.response_times.nan_dropped());
-}
-
-/// Reads outcomes written by [`write_outcomes`].
-fn read_outcomes(r: &mut SnapReader<'_>) -> Result<RequestOutcomes, SnapshotError> {
-    let mut o = RequestOutcomes::new();
-    o.issued = r.get_u64()?;
-    o.completed = r.get_u64()?;
-    o.failures.removal = r.get_u64()?;
-    o.failures.timeout = r.get_u64()?;
-    o.failures.queue_abort = r.get_u64()?;
-    o.failures.infra_death = r.get_u64()?;
-    for _ in 0..r.get_usize()? {
-        o.response_times.record(r.get_f64()?);
-    }
-    for _ in 0..r.get_u64()? {
-        o.response_times.record(f64::NAN);
-    }
-    Ok(o)
-}
-
-/// Writes one time series as its `(secs, value)` points.
-fn write_series(w: &mut SnapWriter, ts: &TimeSeries) {
-    let points = ts.points();
-    w.put_usize(points.len());
-    for &(secs, value) in points {
-        w.put_f64(secs);
-        w.put_f64(value);
-    }
-}
-
-/// Appends points written by [`write_series`] into a (fresh) series.
-fn read_series_into(r: &mut SnapReader<'_>, ts: &mut TimeSeries) -> Result<(), SnapshotError> {
-    for _ in 0..r.get_usize()? {
-        let secs = r.get_f64()?;
-        let value = r.get_f64()?;
-        ts.push(secs, value);
-    }
-    Ok(())
 }
 
 /// Parses a `HYSCALE_PARALLELISM` value: a positive integer worker count.

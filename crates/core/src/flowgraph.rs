@@ -377,12 +377,11 @@ impl GraphTracker {
         in_flight: u64,
         now: SimTime,
         trace: &mut TraceSink,
-        traced: bool,
     ) {
         debug_assert!(self.is_entry(idx), "shed on a non-entry service");
         self.stats.shed_roots += 1;
         self.stats.shed_members += members;
-        if traced {
+        if trace.is_enabled() {
             trace.emit(
                 now,
                 EventKind::Shed {
@@ -513,13 +512,12 @@ impl GraphTracker {
         now: SimTime,
         rng: &mut SimRng,
         trace: &mut TraceSink,
-        traced: bool,
     ) {
         let template = PendingHop {
             count: rejected,
             ..*hop
         };
-        if self.try_retry(template, FailureKind::QueueAbort, now, rng, trace, traced) {
+        if self.try_retry(template, FailureKind::QueueAbort, now, rng, trace) {
             if let Some(record) = self.roots.get_mut(hop.root) {
                 record.pending += 1;
             }
@@ -538,13 +536,12 @@ impl GraphTracker {
         done: &CompletedRequest,
         services: &[ServiceSpec],
         trace: &mut TraceSink,
-        traced: bool,
     ) {
         let Some(hop) = self.hops.remove(done.id.index()) else {
             return;
         };
         let record = self.roots.get_mut(hop.root).expect("hop without root");
-        if traced {
+        if trace.is_enabled() {
             trace.emit(
                 done.finished,
                 EventKind::Span {
@@ -607,13 +604,7 @@ impl GraphTracker {
     /// the batch re-queues as a retry [`PendingHop`] after its backoff;
     /// otherwise the whole root is failed, no children spawn, and the
     /// root resolves once its other hops drain.
-    pub fn on_failed(
-        &mut self,
-        failure: &FailedRequest,
-        rng: &mut SimRng,
-        trace: &mut TraceSink,
-        traced: bool,
-    ) {
+    pub fn on_failed(&mut self, failure: &FailedRequest, rng: &mut SimRng, trace: &mut TraceSink) {
         let Some(hop) = self.hops.remove(failure.id.index()) else {
             return;
         };
@@ -630,14 +621,7 @@ impl GraphTracker {
             attempt: hop.attempt,
             policy: hop.policy,
         };
-        if self.try_retry(
-            template,
-            failure.kind,
-            failure.failed_at,
-            rng,
-            trace,
-            traced,
-        ) {
+        if self.try_retry(template, failure.kind, failure.failed_at, rng, trace) {
             // Net pending is unchanged: the in-flight hop record left,
             // the queued retry took its place.
             return;
@@ -663,7 +647,6 @@ impl GraphTracker {
         failed_at: SimTime,
         rng: &mut SimRng,
         trace: &mut TraceSink,
-        traced: bool,
     ) -> bool {
         if !self.resilience.enabled {
             return false;
@@ -685,7 +668,7 @@ impl GraphTracker {
         let retry_at = failed_at + SimDuration::from_secs(backoff);
         if retry_at >= record.deadline {
             self.stats.deadline_exceeded += 1;
-            if traced {
+            if trace.is_enabled() {
                 trace.emit(
                     failed_at,
                     EventKind::DeadlineExceeded {
@@ -700,7 +683,7 @@ impl GraphTracker {
         if self.resilience.has_retry_budget() {
             if self.tokens[hop.service] < hop.count as f64 {
                 self.stats.budget_exhausted += 1;
-                if traced {
+                if trace.is_enabled() {
                     trace.emit(
                         failed_at,
                         EventKind::BudgetExhausted {
@@ -716,7 +699,7 @@ impl GraphTracker {
         }
         self.stats.retries += 1;
         self.stats.retried_members += hop.count;
-        if traced {
+        if trace.is_enabled() {
             trace.emit(
                 failed_at,
                 EventKind::Retry {
@@ -1108,7 +1091,7 @@ mod tests {
         assert!(!t.is_idle());
 
         let mut sink = TraceSink::disabled();
-        t.on_completed(&completed(100, 0, 5, 1.0), &specs, &mut sink, false);
+        t.on_completed(&completed(100, 0, 5, 1.0), &specs, &mut sink);
         // The entry hop spawned one pending child (service 1, 5×2
         // members); the root is still open.
         assert!(t.has_pending());
@@ -1122,12 +1105,12 @@ mod tests {
 
         t.register_hop(root, 200, &pending[0]);
         t.settle_queued(root);
-        t.on_completed(&completed(200, 1, 10, 2.0), &specs, &mut sink, false);
+        t.on_completed(&completed(200, 1, 10, 2.0), &specs, &mut sink);
         let pending = t.take_due(SimTime::from_secs(100.0));
         assert_eq!(pending[0].service, 2);
         t.register_hop(root, 300, &pending[0]);
         t.settle_queued(root);
-        t.on_completed(&completed(300, 2, 10, 3.5), &specs, &mut sink, false);
+        t.on_completed(&completed(300, 2, 10, 3.5), &specs, &mut sink);
 
         assert!(t.is_idle());
         let stats = t.into_entry_stats();
@@ -1148,7 +1131,7 @@ mod tests {
         t.seal_root(root);
         let mut sink = TraceSink::disabled();
         let mut rng = SimRng::seed_from(1);
-        t.on_completed(&completed(10, 0, 3, 1.0), &specs, &mut sink, false);
+        t.on_completed(&completed(10, 0, 3, 1.0), &specs, &mut sink);
         let pending = t.take_due(SimTime::from_secs(100.0));
         t.register_hop(root, 20, &pending[0]);
         t.settle_queued(root);
@@ -1156,7 +1139,6 @@ mod tests {
             &failed(20, 1, 3, 2.0, FailureKind::Timeout),
             &mut rng,
             &mut sink,
-            false,
         );
         assert!(t.is_idle());
         let stats = t.into_entry_stats();
@@ -1192,7 +1174,7 @@ mod tests {
         let root = t.begin_root(0, SimTime::ZERO, 1);
         t.register_hop(root, 1, &entry_hop(root, 0));
         let mut sink = TraceSink::disabled();
-        t.on_completed(&completed(1, 0, 1, 1.0), &specs, &mut sink, false);
+        t.on_completed(&completed(1, 0, 1, 1.0), &specs, &mut sink);
         let pending = t.take_due(SimTime::from_secs(100.0));
         let child = &specs[1];
         assert_eq!(pending[0].count, 3);
@@ -1215,7 +1197,7 @@ mod tests {
         let root = t.begin_root(0, SimTime::ZERO, 2);
         t.register_hop(root, 10, &entry_hop(root, 0));
         t.seal_root(root);
-        t.on_completed(&completed(10, 0, 2, 1.0), &specs, &mut sink, false);
+        t.on_completed(&completed(10, 0, 2, 1.0), &specs, &mut sink);
         let pending = t.take_due(SimTime::from_secs(100.0));
         t.register_hop(root, 20, &pending[0]);
         t.settle_queued(root);
@@ -1225,7 +1207,6 @@ mod tests {
             &failed(20, 1, 2, 2.0, FailureKind::InfraDeath),
             &mut rng,
             &mut sink,
-            false,
         );
         assert!(!t.is_idle(), "root must stay open for the retry");
         assert_eq!(t.resilience_stats().retries, 1);
@@ -1242,7 +1223,7 @@ mod tests {
         // The retry succeeds; the root completes cleanly.
         t.register_hop(root, 30, &due[0]);
         t.settle_queued(root);
-        t.on_completed(&completed(30, 1, 2, 4.0), &specs, &mut sink, false);
+        t.on_completed(&completed(30, 1, 2, 4.0), &specs, &mut sink);
         assert!(t.is_idle());
         assert_eq!(t.resilience_stats().goodput_members, 4);
         assert_eq!(t.resilience_stats().wasted_members, 0);
@@ -1267,7 +1248,7 @@ mod tests {
         let root = t.begin_root(0, SimTime::ZERO, 1);
         t.register_hop(root, 10, &entry_hop(root, 0));
         t.seal_root(root);
-        t.on_completed(&completed(10, 0, 1, 1.0), &specs, &mut sink, false);
+        t.on_completed(&completed(10, 0, 1, 1.0), &specs, &mut sink);
         let pending = t.take_due(SimTime::from_secs(100.0));
         t.register_hop(root, 20, &pending[0]);
         t.settle_queued(root);
@@ -1275,7 +1256,6 @@ mod tests {
             &failed(20, 1, 1, 2.0, FailureKind::InfraDeath),
             &mut rng,
             &mut sink,
-            false,
         );
         let due = t.take_due(SimTime::from_secs(10.0));
         assert_eq!(due[0].attempt, 1);
@@ -1286,7 +1266,6 @@ mod tests {
             &failed(30, 1, 1, 4.0, FailureKind::InfraDeath),
             &mut rng,
             &mut sink,
-            false,
         );
         assert!(t.is_idle());
         assert_eq!(t.resilience_stats().retries, 1);
@@ -1309,7 +1288,7 @@ mod tests {
         let root = t.begin_root(0, SimTime::ZERO, 4);
         t.register_hop(root, 10, &entry_hop(root, 0));
         t.seal_root(root);
-        t.on_completed(&completed(10, 0, 4, 1.0), &specs, &mut sink, false);
+        t.on_completed(&completed(10, 0, 4, 1.0), &specs, &mut sink);
         let pending = t.take_due(SimTime::from_secs(100.0));
         t.register_hop(root, 20, &pending[0]);
         t.settle_queued(root);
@@ -1319,7 +1298,6 @@ mod tests {
             &failed(20, 1, 4, 2.0, FailureKind::InfraDeath),
             &mut rng,
             &mut sink,
-            false,
         );
         assert!(t.is_idle(), "budget-refused retry fails the root");
         assert_eq!(t.resilience_stats().budget_exhausted, 1);
@@ -1347,7 +1325,7 @@ mod tests {
         );
         t.register_hop(root, 10, &entry_hop(root, 0));
         t.seal_root(root);
-        t.on_completed(&completed(10, 0, 1, 2.0), &specs, &mut sink, false);
+        t.on_completed(&completed(10, 0, 1, 2.0), &specs, &mut sink);
         let pending = t.take_due(SimTime::from_secs(100.0));
         t.register_hop(root, 20, &pending[0]);
         t.settle_queued(root);
@@ -1356,7 +1334,6 @@ mod tests {
             &failed(20, 1, 1, 3.0, FailureKind::InfraDeath),
             &mut rng,
             &mut sink,
-            false,
         );
         assert!(t.is_idle());
         assert_eq!(t.resilience_stats().deadline_exceeded, 1);
@@ -1377,7 +1354,7 @@ mod tests {
         let root = t.begin_root(0, SimTime::ZERO, 3);
         let hop = entry_hop(root, 0);
         // The whole admission was rejected: retry instead of fail.
-        t.on_unadmitted(&hop, 3, SimTime::ZERO, &mut rng, &mut sink, false);
+        t.on_unadmitted(&hop, 3, SimTime::ZERO, &mut rng, &mut sink);
         t.seal_root(root);
         assert!(!t.is_idle(), "retry keeps the root open past seal");
         let due = t.take_due(SimTime::from_secs(1.0));
@@ -1386,7 +1363,7 @@ mod tests {
         assert_eq!(due[0].count, 3);
         t.register_hop(root, 40, &due[0]);
         t.settle_queued(root);
-        t.on_completed(&completed(40, 0, 3, 2.0), &specs, &mut sink, false);
+        t.on_completed(&completed(40, 0, 3, 2.0), &specs, &mut sink);
         assert!(t.is_idle());
         let stats = t.into_entry_stats();
         assert_eq!(stats[0].roots_completed, 1);
@@ -1409,7 +1386,6 @@ mod tests {
             &failed(10, 0, 1, 1.0, FailureKind::InfraDeath),
             &mut rng,
             &mut sink,
-            false,
         );
         assert_eq!(rng.state(), before, "disabled layer must not draw");
 
@@ -1426,7 +1402,6 @@ mod tests {
             &failed(10, 0, 1, 1.0, FailureKind::InfraDeath),
             &mut rng,
             &mut sink,
-            false,
         );
         assert_ne!(rng.state(), before, "jittered retry must draw once");
         assert_eq!(t.resilience_stats().retries, 1);
@@ -1447,7 +1422,7 @@ mod tests {
         let root = t.begin_root(0, SimTime::ZERO, 1);
         t.register_hop(root, 10, &entry_hop(root, 0));
         t.seal_root(root);
-        t.on_completed(&completed(10, 0, 1, 1.0), &specs, &mut sink, false);
+        t.on_completed(&completed(10, 0, 1, 1.0), &specs, &mut sink);
         let pending = t.take_due(SimTime::from_secs(100.0));
         assert_eq!(pending[0].policy, 1);
         t.register_hop(root, 20, &pending[0]);
@@ -1456,7 +1431,6 @@ mod tests {
             &failed(20, 1, 1, 2.0, FailureKind::InfraDeath),
             &mut rng,
             &mut sink,
-            false,
         );
         assert!(t.is_idle(), "edge-off policy must not retry");
         assert_eq!(t.resilience_stats().retries, 0);
@@ -1471,7 +1445,7 @@ mod tests {
         t.register_hop(root, 50, &entry_hop(root, 0));
         let mut sink = TraceSink::disabled();
         let mut rng = SimRng::seed_from(1);
-        t.on_completed(&completed(50, 0, 2, 2.0), &specs, &mut sink, false);
+        t.on_completed(&completed(50, 0, 2, 2.0), &specs, &mut sink);
         // Two pending children, root open. Also one fully resolved root.
         let done_root = t.begin_root(0, SimTime::ZERO, 1);
         t.register_hop(done_root, 60, &entry_hop(done_root, 0));
@@ -1481,7 +1455,6 @@ mod tests {
             &failed(60, 0, 1, 1.0, FailureKind::Removal),
             &mut rng,
             &mut sink,
-            false,
         );
 
         let mut w = SnapWriter::new();
@@ -1516,7 +1489,7 @@ mod tests {
         let root = t.begin_root(0, SimTime::ZERO, 2);
         t.register_hop(root, 10, &entry_hop(root, 0));
         t.seal_root(root);
-        t.on_completed(&completed(10, 0, 2, 1.0), &specs, &mut sink, false);
+        t.on_completed(&completed(10, 0, 2, 1.0), &specs, &mut sink);
         let pending = t.take_due(SimTime::from_secs(100.0));
         t.register_hop(root, 20, &pending[0]);
         t.settle_queued(root);
@@ -1525,9 +1498,8 @@ mod tests {
             &failed(20, 1, 2, 2.0, FailureKind::InfraDeath),
             &mut rng,
             &mut sink,
-            false,
         );
-        t.record_shed(0, 5, 200, SimTime::from_secs(2.0), &mut sink, false);
+        t.record_shed(0, 5, 200, SimTime::from_secs(2.0), &mut sink);
         assert!(t.has_pending());
         assert_eq!(t.resilience_stats().retries, 1);
         assert_eq!(t.resilience_stats().shed_roots, 1);
@@ -1600,8 +1572,8 @@ mod tests {
             t.seal_root(root);
         }
         // Middle first: roots 2 and 1 (hops 30 and 20) resolve.
-        t.on_completed(&completed(30, 0, 1, 1.0), &specs, &mut sink, false);
-        t.on_completed(&completed(20, 0, 1, 1.5), &specs, &mut sink, false);
+        t.on_completed(&completed(30, 0, 1, 1.0), &specs, &mut sink);
+        t.on_completed(&completed(20, 0, 1, 1.5), &specs, &mut sink);
         assert_eq!(t.roots.slots.len(), 5, "middle removals leave tombstones");
         for live in [0, 3, 4] {
             assert!(t.roots.get(live).is_some(), "root {live} lost");
@@ -1630,14 +1602,14 @@ mod tests {
 
         // The front goes next (its tombstone run trims), then the back;
         // only the last completion leaves the tracker idle.
-        t.on_completed(&completed(10, 0, 1, 2.0), &specs, &mut sink, false);
+        t.on_completed(&completed(10, 0, 1, 2.0), &specs, &mut sink);
         assert_eq!(t.roots.slots.len(), 2, "front tombstones trim");
         assert!(t.roots.get(0).is_none() && t.hops.get(10).is_none());
         assert!(!t.is_idle());
-        t.on_completed(&completed(50, 0, 1, 2.5), &specs, &mut sink, false);
+        t.on_completed(&completed(50, 0, 1, 2.5), &specs, &mut sink);
         assert!(!t.is_idle());
         assert!(t.roots.get(3).is_some() && t.hops.get(40).is_some());
-        t.on_completed(&completed(40, 0, 1, 3.0), &specs, &mut sink, false);
+        t.on_completed(&completed(40, 0, 1, 3.0), &specs, &mut sink);
         assert!(t.is_idle());
         assert!(t.roots.slots.is_empty() && t.hops.slots.is_empty());
         assert_eq!(t.entry_stats()[0].roots_completed, 5);

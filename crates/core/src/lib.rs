@@ -62,6 +62,7 @@ mod monitor;
 mod nodemanager;
 mod recovery;
 mod resilience;
+mod run;
 mod view;
 
 pub use actions::ScalingAction;
@@ -74,8 +75,6 @@ pub use balancer::{BreakerConfig, LoadBalancer};
 pub use controlplane::{
     ActuationOutcome, ControlPlane, ControlPlaneConfig, ControlPlaneStats, NEVER_REPORTED,
 };
-#[doc(hidden)]
-pub use driver::write_outcomes;
 pub use driver::{
     NodeEvent, RunReport, ScalingCounts, ScenarioBuilder, ScenarioConfig, SimulationDriver,
     SnapshotPolicy,
@@ -86,4 +85,6 @@ pub use monitor::{Monitor, MonitorReport};
 pub use nodemanager::NodeManager;
 pub use recovery::{RecoveryConfig, RecoveryManager, RecoveryReport};
 pub use resilience::{ResilienceConfig, ResilienceStats};
+#[doc(hidden)]
+pub use run::write_outcomes;
 pub use view::{ClusterView, NodeView, ReplicaView, ServiceView};
